@@ -24,7 +24,7 @@ from .generators import (
     gen_stable_bipartite_noise,
     gen_tightness_example,
 )
-from .instance import Cut, Instance, REL_TOL, ZERO_FRACTION, cut_weight, cut_weights_for_sides, density_coefficient, same_bipartition
+from .instance import Cut, Instance, REL_TOL, cut_weight, cut_weights_for_sides, density_coefficient, same_bipartition
 from .metric import (
     ball_enumeration_solve,
     cut_edge_lower_bound_check,
@@ -34,11 +34,12 @@ from .metric import (
 )
 from .oracle import (
     brute_force_maxcut,
+    cut_sides,
     cut_stability_gamma,
     enumerate_locally_stable_cuts,
+    local_gammas,
     local_stability_gamma,
     subset_scan_minima,
-    _side_chunks,
 )
 from .spectral import (
     bipolarity_check,
@@ -48,9 +49,9 @@ from .spectral import (
     gw_dual_extract,
     gw_primal_solve,
     psd_rank_certificate,
+    spectral_threshold,
     strongly_bipolar_perturb,
     weight_scale,
-    _spectral_threshold,
 )
 from .stable import (
     spanning_tree_solve,
@@ -233,17 +234,6 @@ def criterion_2(seed: int = DEFAULT_SEED, trials: int = 1000, solver_seeds: int 
 # ---------------------------------------------------------------------------
 
 
-def _local_gamma_all_sides(W: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Per-cut minimum of xi(x)/iota(x) over all vertices; (n, k) -> (k,)."""
-    mu = W.sum(axis=1)
-    to_s = W @ sides.astype(np.float64)
-    xi = np.where(sides, mu[:, None] - to_s, to_s)
-    iota = mu[:, None] - xi
-    zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
-    ratios = np.where(iota > zero, xi / np.where(iota > zero, iota, 1.0), INF)
-    return ratios.min(axis=0)
-
-
 def criterion_3(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
     """Weight/local-stability preservation and density of the split instance."""
     instances = []
@@ -266,15 +256,14 @@ def criterion_3(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
         ok = ok and bool((tau_split >= 1.0 - REL_TOL).all())
         bound = 4.0 / (1.0 - 1.0 / n) ** 2
         ok = ok and density_coefficient(smap.split) <= bound * (1.0 + REL_TOL)
-        n_masks = (1 << (n - 1)) - 1
-        for _, sides in _side_chunks(n, n_masks):
+        for sides in cut_sides(n, max_n=24):
             lifted = sides[smap.pi]
             w_orig = cut_weights_for_sides(normalized.weights, sides)
             w_split = cut_weights_for_sides(smap.split.weights, lifted)
             err = float(np.max(np.abs(w_split - w_orig) / np.maximum(1.0, np.abs(w_orig))))
             worst_weight_err = max(worst_weight_err, err)
-            g_orig = _local_gamma_all_sides(normalized.weights, sides)
-            g_split = _local_gamma_all_sides(smap.split.weights, lifted)
+            g_orig = local_gammas(normalized.weights, sides)
+            g_split = local_gammas(smap.split.weights, lifted)
             both_inf = np.isinf(g_orig) & np.isinf(g_split)
             close = np.abs(g_split - g_orig) <= REL_TOL * np.maximum(1.0, np.abs(g_orig))
             ok = ok and bool(np.where(both_inf, True, close).all())
@@ -446,7 +435,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         bundle = build_spectral_bundle(inst, cut)
         gl = local_stability_gamma(inst, cut)
         _, _, h_cut = subset_scan_minima(bundle.cut_part, None, max_n=16)
-        threshold = _spectral_threshold(h_cut)
+        threshold = spectral_threshold(h_cut)
         if gl > threshold * (1.0 + 1e-6):
             qualified += 1
             verdict = psd_rank_certificate(bundle)
@@ -458,7 +447,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     bundle = build_spectral_bundle(c4, Cut([True, False, True, False]))
     spectrum_ok = bool(np.abs(bundle.eigenvalues - np.array([0.0, 2.0, 2.0, 4.0])).max() <= 1e-8)
     _, _, h = subset_scan_minima(bundle.cut_part, None)
-    thr = _spectral_threshold(h)
+    thr = spectral_threshold(h)
     thr_ok = abs(thr - 14.928203230275509) <= 1e-8
     ok = ok and spectrum_ok and thr_ok and psd_rank_certificate(bundle) == "certified"
     return CriterionResult(8, "spectral PSD rank certificate", ok,
@@ -471,7 +460,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _gw_pool(seed: int, count: int):
+def gw_pool(seed: int, count: int):
     """Instances cycling through every family, n <= 16."""
     pool = []
     i = 0
@@ -498,7 +487,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Duality gaps, dual uniqueness, bipolarity agreement, and the worked examples."""
     ok = True
     details = {}
-    pool = _gw_pool(seed, 200)
+    pool = gw_pool(seed, 200)
 
     converged = 0
     gap_ok = dual_ok = True
@@ -521,7 +510,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     agree_ok = True
     escalations = []
     idx = 0
-    for inst in _gw_pool(seed + 999, 400):
+    for inst in gw_pool(seed + 999, 400):
         if agreement_checked == 200:
             break
         idx += 1

@@ -40,11 +40,9 @@ from .instance import (
 from .metric import ball_enumeration_solve, metric_dense_solve, normalize_total_weight, split_instance
 from .oracle import (
     brute_force_maxcut,
-    cheeger_constant,
     cut_stability_gamma,
-    distinction_alpha,
-    instance_stability,
     local_stability_gamma,
+    subset_scan_minima,
 )
 from .spectral import (
     bipolarity_check,
@@ -143,9 +141,10 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     t0 = time.perf_counter()
     verdicts: dict = {}
+    oracle = None
     if args.algo == "brute":
-        cut, weight, count = brute_force_maxcut(inst)
-        verdicts["optimal_count"] = count
+        oracle = brute_force_maxcut(inst)
+        cut, _, verdicts["optimal_count"] = oracle
     elif args.algo == "dense":
         cut = dense_solve(inst, _dense_config(args, inst))
     elif args.algo == "metric-dense":
@@ -187,7 +186,7 @@ def _cmd_solve(args) -> int:
         "verdicts": verdicts,
     }
     if args.with_oracle:
-        opt, opt_w, _ = brute_force_maxcut(inst)
+        opt, opt_w, _ = oracle or brute_force_maxcut(inst)
         report["oracle_weight"] = opt_w
         report["matched_oracle"] = same_bipartition(cut, opt)
     if args.cut_out:
@@ -203,31 +202,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
-    if args.cut:
-        cut = load_cut(args.cut)
-        _, _, count = brute_force_maxcut(inst)
-        report = {
-            "gamma": cut_stability_gamma(inst, cut),
-            "gamma_local": local_stability_gamma(inst, cut),
-            "alpha": distinction_alpha(inst, cut),
-            "cheeger": cheeger_constant(inst),
-            "is_unique_maxcut": count == 1,
-            "cut": cut_to_json(cut),
-            "cut_weight": cut_weight(inst, cut),
-        }
-    else:
-        rep = instance_stability(inst)
-        opt, weight, _ = brute_force_maxcut(inst)
-        report = {
-            "gamma": rep.gamma,
-            "gamma_local": rep.gamma_local,
-            "alpha": rep.alpha,
-            "cheeger": rep.cheeger,
-            "is_unique_maxcut": rep.is_unique_maxcut,
-            "cut": cut_to_json(opt),
-            "cut_weight": weight,
-        }
-    _emit(report)
+    given = load_cut(args.cut) if args.cut else None
+    opt, _, count = brute_force_maxcut(inst, max_n=24)
+    cut = opt if given is None else given
+    weight = cut_weight(inst, cut)  # also rejects a cut of the wrong size
+    gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
+    if given is None and count > 1:
+        gamma = 1.0  # the clamp of instance_stability: a tied optimum is only 1-stable
+    _emit({
+        "gamma": gamma,
+        "gamma_local": local_stability_gamma(inst, cut),
+        "alpha": alpha,
+        "cheeger": cheeger,
+        "is_unique_maxcut": count == 1,
+        "cut": cut_to_json(cut),
+        "cut_weight": weight,
+    })
     return 0
 
 
@@ -330,7 +320,7 @@ def _bench_stability_sweep(seed: int) -> dict:
 def _bench_gw_gap(seed: int) -> dict:
     from .spectral import gw_dual_extract, gw_primal_solve, weight_scale
 
-    pool = acceptance._gw_pool(seed, 60)
+    pool = acceptance.gw_pool(seed, 60)
     worst = 0.0
     converged = 0
     for idx, inst in enumerate(pool):

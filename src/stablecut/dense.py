@@ -91,8 +91,8 @@ def draw_samples(n: int, m: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n, size=m)
 
 
-def _partition_chunks(cfg: DenseSolverConfig, samples: np.ndarray,
-                      sample_sides: np.ndarray | None):
+def partition_chunks(cfg: DenseSolverConfig, samples: np.ndarray,
+                     sample_sides: np.ndarray | None):
     """Yield boolean (k, m) partition blocks; True marks a sample assigned to R.
 
     Enumeration is chunked so the cap (2^22 partitions) stays within memory.
@@ -128,7 +128,7 @@ def induced_side_matrix(W: np.ndarray, samples: np.ndarray,
     return (M @ signs.T) > 0.0
 
 
-def _best_valid(W: np.ndarray, sides: np.ndarray) -> tuple[int, float] | None:
+def best_valid(W: np.ndarray, sides: np.ndarray) -> tuple[int, float] | None:
     """Index and weight of the heaviest nondegenerate side vector (first wins ties)."""
     counts = sides.sum(axis=0)
     valid = np.flatnonzero((counts > 0) & (counts < W.shape[0]))
@@ -155,9 +155,9 @@ def dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:
             raise ParameterError("seed_cut size mismatch")
         sample_sides = cfg.seed_cut.side[samples]
     best_side, best_w = None, -math.inf
-    for r_masks in _partition_chunks(cfg, samples, sample_sides):
+    for r_masks in partition_chunks(cfg, samples, sample_sides):
         sides = induced_side_matrix(inst.weights, samples, r_masks)
-        hit = _best_valid(inst.weights, sides)
+        hit = best_valid(inst.weights, sides)
         if hit is not None and hit[1] > best_w:
             best_side, best_w = sides[:, hit[0]].copy(), hit[1]
     if best_side is None:

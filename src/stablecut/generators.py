@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolationError, ParameterError
-from .instance import Cut, Instance, _support_connected
+from .instance import Cut, Instance, support_connected
 from .oracle import cut_stability_gamma, local_stability_gamma
 
 PRNG_NAME = "numpy.random.default_rng(PCG64)"
@@ -63,7 +63,7 @@ def gen_planted_partition(n: int, p: float, q: float, seed: int) -> PlantedInsta
         prob = np.where(cross, p, q)
         W = np.triu((u < prob) & (u > 0.0), k=1).astype(np.float64)
         W = W + W.T
-        if _support_connected(W):
+        if support_connected(W):
             claims = {"family": "planted-partition", "n": n, "p": p, "q": q,
                       "seed": seed, "prng": PRNG_NAME}
             if q == 0.0:

@@ -31,7 +31,7 @@ REL_TOL = 1e-9
 ZERO_FRACTION = 1e-12
 
 
-def _support_connected(weights: np.ndarray) -> bool:
+def support_connected(weights: np.ndarray) -> bool:
     """BFS over the positive-weight support graph."""
     n = weights.shape[0]
     seen = np.zeros(n, dtype=bool)
@@ -69,7 +69,7 @@ class Instance:
             raise InvalidInstanceError("diagonal weights must be zero")
         if (W < 0.0).any() or not np.isfinite(W).all():
             raise InvalidInstanceError("weights must be finite and nonnegative")
-        if not _support_connected(W):
+        if not support_connected(W):
             raise InvalidInstanceError("positive-weight support graph must be connected")
         if labels is not None and len(labels) != n:
             raise InvalidInstanceError("labels length must equal the vertex count")
@@ -333,17 +333,18 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(doc: dict) -> Instance:
-    if not isinstance(doc, dict) or "n" not in doc or "weights" not in doc:
-        raise InvalidInstanceError('instance JSON needs keys "n" and "weights"')
-    n = int(doc["n"])
-    if n < 2:
-        raise InvalidInstanceError("instance JSON must have n >= 2")
+    """Strict reader: n and vertex indices must be ints (not bools), weights numbers."""
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if type(n) is not int or n < 2 or type(doc.get("weights")) is not list:
+        raise InvalidInstanceError('instance JSON needs an integer "n" >= 2 and a list "weights"')
     W = np.zeros((n, n))
     seen = set()
     for entry in doc["weights"]:
-        if len(entry) != 3:
+        if type(entry) is not list or len(entry) != 3:
             raise InvalidInstanceError(f"weight entry must be [i, j, w], got {entry!r}")
-        i, j, w = int(entry[0]), int(entry[1]), float(entry[2])
+        i, j, w = entry
+        if type(i) is not int or type(j) is not int or type(w) not in (int, float):
+            raise InvalidInstanceError(f"weight entry must be [int, int, number], got {entry!r}")
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InvalidInstanceError(f"bad vertex pair ({i}, {j})")
         key = (min(i, j), max(i, j))
@@ -371,9 +372,11 @@ def cut_to_json(cut: Cut) -> dict:
 
 
 def cut_from_json(doc: dict) -> Cut:
-    if not isinstance(doc, dict) or "side" not in doc:
-        raise InvalidCutError('cut JSON needs key "side"')
-    return Cut([bool(int(b)) for b in doc["side"]])
+    """Strict reader: "side" must be a list of the integers 0 and 1."""
+    side = doc.get("side") if isinstance(doc, dict) else None
+    if type(side) is not list or any(type(b) is not int or b not in (0, 1) for b in side):
+        raise InvalidCutError('cut JSON needs "side", a list of 0/1 integers')
+    return Cut(side)
 
 
 def save_cut(cut: Cut, path) -> None:

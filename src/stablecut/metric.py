@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseSolverConfig, _best_valid, _partition_chunks, draw_samples, induced_side_matrix
+from .dense import DenseSolverConfig, best_valid, draw_samples, induced_side_matrix, partition_chunks
 from .errors import DegenerateInstanceError, ParameterError, PreconditionError, SolverFailure
 from .instance import Cut, Instance, REL_TOL, cut_weight, is_metric
 
@@ -111,12 +111,12 @@ def metric_dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:
     if cfg.seed_cut is not None:
         sample_sides = lift_cut(smap, cfg.seed_cut).side[samples]
     best_side, best_w = None, -math.inf
-    for r_masks in _partition_chunks(cfg, samples, sample_sides):
+    for r_masks in partition_chunks(cfg, samples, sample_sides):
         split_sides = induced_side_matrix(smap.split.weights, samples, r_masks)
         fiber_votes = np.zeros((inst.n, split_sides.shape[1]))
         np.add.at(fiber_votes, smap.pi, split_sides.astype(np.float64))
         repaired = 2.0 * fiber_votes >= smap.multiplicity[:, None]
-        hit = _best_valid(inst.weights, repaired)
+        hit = best_valid(inst.weights, repaired)
         if hit is not None and hit[1] > best_w:
             best_side, best_w = repaired[:, hit[0]].copy(), hit[1]
     if best_side is None:

@@ -1,9 +1,12 @@
 """Exact brute-force ground truth at desk scale.
 
-Everything here scans an exponential space (all bipartitions, or all vertex
-subsets), vectorized in chunks so that the configured caps (n <= 24 for
-subset scans, n <= 28 for the max-cut scan) stay feasible.  Subset scans
-exploit complement symmetry and only visit subsets containing vertex 0.
+Every exhaustive scan here runs through one kernel, ``cut_sides``: chunked
+(n, k) blocks of all side vectors with vertex 0 in S, which enumerate both
+the bipartitions (up to complement) and the vertex subsets (up to
+complement symmetry).  It also enforces the size caps (n <= 24 for subset
+scans, n <= 28 for the max-cut scan).  On top of it sit one per-vertex
+xi/iota helper for single cuts and blocks, and one 0/0 -> +inf ratio rule.
+The maximum cut is found in a single pass that also counts the ties.
 """
 
 from __future__ import annotations
@@ -28,18 +31,26 @@ INF = math.inf
 _CHUNK = 1 << 14
 
 
-def _side_chunks(n: int, n_masks: int, chunk: int = _CHUNK):
-    """Yield (masks, sides) with vertex 0 fixed in S.
+def cut_sides(n: int, max_n: int):
+    """Yield (n, k) boolean blocks of every side vector with side[0] True but S != V.
 
-    Bit (n-1-i) of the mask holds side[i] for i >= 1, so increasing mask
-    order enumerates side vectors in lexicographic order.
+    Blocks come in lexicographic order (bit n-1-i of the running mask holds
+    side[i]).  Raises SizeLimitError when n > max_n.
     """
+    if n > max_n:
+        raise SizeLimitError(f"exhaustive scan capped at n <= {max_n}, got {n}")
+    n_masks = (1 << (n - 1)) - 1
     shifts = np.array([n - 1 - i for i in range(1, n)], dtype=np.uint64)
-    for lo in range(0, n_masks, chunk):
-        masks = np.arange(lo, min(lo + chunk, n_masks), dtype=np.uint64)
+    for lo in range(0, n_masks, _CHUNK):
+        masks = np.arange(lo, min(lo + _CHUNK, n_masks), dtype=np.uint64)
         sides = np.ones((n, masks.size), dtype=bool)
         sides[1:] = (masks[None, :] >> shifts[:, None]) & 1
-        yield masks, sides
+        yield sides
+
+
+def _ratio_or_inf(num: np.ndarray, den: np.ndarray, zero: float) -> np.ndarray:
+    """num / den elementwise, +inf where den <= zero (the 0/0 convention)."""
+    return np.where(den > zero, num / np.where(den > zero, den, 1.0), INF)
 
 
 def brute_force_maxcut(inst: Instance, max_n: int = 28) -> tuple[Cut, float, int]:
@@ -50,25 +61,23 @@ def brute_force_maxcut(inst: Instance, max_n: int = 28) -> tuple[Cut, float, int
     cut and its complement count once).  Optima are counted up to relative
     tolerance 1e-9.
     """
-    n = inst.n
-    if n > max_n:
-        raise SizeLimitError(f"brute force capped at n <= {max_n}, got {n}")
     W = inst.weights
-    n_masks = (1 << (n - 1)) - 1  # exclude S = V
     best = -INF
-    for _, sides in _side_chunks(n, n_masks):
-        best = max(best, float(cut_weights_for_sides(W, sides).max()))
-    tol = REL_TOL * best
-    count = 0
-    best_side = None
-    for _, sides in _side_chunks(n, n_masks):
+    # Cuts within tolerance of the running best (a superset of the final
+    # optima) are tallied per distinct weight, so memory stays small however
+    # many optima tie.  Weights enter in scan order of their first cut.
+    near: dict[float, list] = {}  # weight -> [first side, count]
+    for sides in cut_sides(inst.n, max_n):
         w = cut_weights_for_sides(W, sides)
-        hits = np.flatnonzero(w >= best - tol)
-        count += hits.size
-        if best_side is None and hits.size:
-            best_side = sides[:, hits[0]].copy()
-    cut = Cut(best_side)
-    return cut, cut_weight(inst, cut), count
+        best = max(best, float(w.max()))
+        idx = np.flatnonzero(w >= best - REL_TOL * best)
+        values, first, counts = np.unique(w[idx], return_index=True, return_counts=True)
+        for j in np.argsort(first):
+            entry = near.setdefault(float(values[j]), [sides[:, idx[first[j]]].copy(), 0])
+            entry[1] += int(counts[j])
+    optima = [entry for v, entry in near.items() if v >= best - REL_TOL * best]
+    cut = Cut(optima[0][0])
+    return cut, cut_weight(inst, cut), sum(count for _, count in optima)
 
 
 def subset_scan_minima(
@@ -82,8 +91,6 @@ def subset_scan_minima(
     first two come back as +inf.  0/0 ratios are +inf by convention.
     """
     n = W.shape[0]
-    if n > max_n:
-        raise SizeLimitError(f"subset scan capped at n <= {max_n}, got {n}")
     mu = W.sum(axis=1)
     total_mu = float(mu.sum())
     zero = ZERO_FRACTION * max(total_mu, 1e-300)
@@ -91,8 +98,7 @@ def subset_scan_minima(
         W_cut = W * (delta[:, None] * delta[None, :] < 0)
         xi_vec = W_cut.sum(axis=1)
     gamma = alpha = cheeger = INF
-    n_masks = (1 << (n - 1)) - 1  # A contains vertex 0, A != V
-    for _, sides in _side_chunks(n, n_masks):
+    for sides in cut_sides(n, max_n):
         chi = sides.astype(np.float64)
         mu_a = mu @ chi
         tau = mu_a - np.einsum("ik,ik->k", chi, W @ chi)
@@ -102,18 +108,30 @@ def subset_scan_minima(
         if delta is not None:
             xi = xi_vec @ chi - np.einsum("ik,ik->k", chi, W_cut @ chi)
             iota = tau - xi
-            ratios = np.where(iota > zero, xi / np.where(iota > zero, iota, 1.0), INF)
-            gamma = min(gamma, float(ratios.min()))
+            gamma = min(gamma, float(_ratio_or_inf(xi, iota, zero).min()))
             alpha = min(alpha, float(((xi - iota) / min_side_safe).min()))
     return gamma, alpha, cheeger
 
 
 def per_vertex_cut_weights(W: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xi(x), iota(x)) for every vertex: weight to the other / own side."""
-    mu = W.sum(axis=1)
+    """(xi(x), iota(x)) for every vertex: weight to the other / own side.
+
+    ``side`` is one side vector (n,) or a block (n, k); results match its shape.
+    """
+    mu = W.sum(axis=1, keepdims=side.ndim == 2)
     to_s = W @ side.astype(np.float64)
     xi = np.where(side, mu - to_s, to_s)
     return xi, mu - xi
+
+
+def local_gammas(W: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """min over x of xi(x)/iota(x) per cut, +inf if every iota(x) = 0.
+
+    An (n, k) block gives shape (k,); one side vector (n,) gives a 0-d array.
+    """
+    xi, iota = per_vertex_cut_weights(W, sides)
+    zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
+    return _ratio_or_inf(xi, iota, zero).min(axis=0)
 
 
 def cut_stability_gamma(inst: Instance, cut: Cut, max_n: int = 24) -> float:
@@ -131,10 +149,7 @@ def local_stability_gamma(inst: Instance, cut: Cut) -> float:
     """min over vertices of xi(x)/iota(x); +inf when every iota(x) = 0."""
     if cut.n != inst.n:
         raise ParameterError("cut size mismatch")
-    xi, iota = per_vertex_cut_weights(inst.weights, cut.side)
-    zero = ZERO_FRACTION * max(float(inst.weights.sum()), 1e-300)
-    ratios = np.where(iota > zero, xi / np.where(iota > zero, iota, 1.0), INF)
-    return float(ratios.min())
+    return float(local_gammas(inst.weights, cut.side))
 
 
 def distinction_alpha(inst: Instance, cut: Cut, max_n: int = 24) -> float:
@@ -155,22 +170,14 @@ def enumerate_locally_stable_cuts(inst: Instance, gamma: float, max_n: int = 24)
     """All cuts (up to complement) with xi(x) >= gamma * iota(x) at every vertex."""
     if gamma < 1.0:
         raise ParameterError("gamma must be >= 1")
-    n = inst.n
-    if n > max_n:
-        raise SizeLimitError(f"enumeration capped at n <= {max_n}, got {n}")
     W = inst.weights
-    mu = W.sum(axis=1)
     zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
     found: list[Cut] = []
-    n_masks = (1 << (n - 1)) - 1
-    for _, sides in _side_chunks(n, n_masks):
-        to_s = W @ sides.astype(np.float64)
-        xi = np.where(sides, mu[:, None] - to_s, to_s)
-        iota = mu[:, None] - xi
+    for sides in cut_sides(inst.n, max_n):
+        xi, iota = per_vertex_cut_weights(W, sides)
         slack = xi - gamma * iota
         ok = (slack >= -REL_TOL * np.maximum(xi, gamma * iota) - zero).all(axis=0)
-        for k in np.flatnonzero(ok):
-            found.append(Cut(sides[:, k].copy()))
+        found.extend(Cut(sides[:, k]) for k in np.flatnonzero(ok))
     return found
 
 
@@ -192,8 +199,6 @@ class StabilityReport:
 
 def instance_stability(inst: Instance, max_n: int = 24) -> StabilityReport:
     """Full report at the brute-force optimal cut."""
-    if inst.n > max_n:
-        raise SizeLimitError(f"stability oracle capped at n <= {max_n}, got {inst.n}")
     cut, _, count = brute_force_maxcut(inst, max_n=max_n)
     gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta, max_n=max_n)
     unique = count == 1

@@ -128,11 +128,14 @@ class DistinguishedReport:
     cheeger_dominates_alpha: bool
 
 
-def _spectral_threshold(x: float) -> float:
-    if x <= 0.0:
-        return INF
+def spectral_threshold(x: float) -> float:
+    """2 / (1 - sqrt(1 - x^2)), computed as 2 (1 + sqrt(1 - x^2)) / x^2 so that it
+    cannot cancel to 2/0 for tiny x; +inf for x <= 0 or when x^2 underflows."""
     x = min(x, 1.0)
-    return 2.0 / (1.0 - math.sqrt(max(0.0, 1.0 - x * x)))
+    x2 = x * x
+    if x <= 0.0 or x2 == 0.0:
+        return INF
+    return 2.0 * (1.0 + math.sqrt(1.0 - x2)) / x2
 
 
 def distinguished_condition(inst: Instance, cut: Cut, max_n: int = 24) -> DistinguishedReport:
@@ -141,8 +144,8 @@ def distinguished_condition(inst: Instance, cut: Cut, max_n: int = 24) -> Distin
     gamma_local = local_stability_gamma(inst, cut)
     alpha = distinction_alpha(inst, cut, max_n=max_n)
     _, _, h_cut = subset_scan_minima(bundle.cut_part, None, max_n=max_n)
-    thr_a = _spectral_threshold(alpha)
-    thr_h = _spectral_threshold(h_cut)
+    thr_a = spectral_threshold(alpha)
+    thr_h = spectral_threshold(h_cut)
     return DistinguishedReport(
         gamma_local=gamma_local, alpha=alpha, cut_cheeger=h_cut,
         alpha_threshold=thr_a, cheeger_threshold=thr_h,

@@ -125,16 +125,19 @@ def test_verify_reports_stability(tmp_path, capsys):
 def test_verify_rejects_non_cut(tmp_path, capsys):
     c4 = write_c4(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text('{"side": [1, 1, 1, 1]}')
-    code, _ = run(capsys, "verify", c4, "--cut", str(bad))
-    assert code == 2
+    for text in ('{"side": [1, 1, 1, 1]}', '{"side": [2, 0, -1, 1]}', '{"side": [1, 0, 1]}'):
+        bad.write_text(text)
+        code, _ = run(capsys, "verify", c4, "--cut", str(bad))
+        assert code == 2
 
 
 def test_malformed_instance_exits_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    code, _ = run(capsys, "solve", str(broken), "--algo", "brute")
-    assert code == 2
+    for text in ("{not json", '{"n": 3.9, "weights": [[0, 1, 1.0], [1, 2, 1.0]]}',
+                 '{"n": 3, "weights": [[0, 1.7, 1.0], [1, 2, 1.0]]}'):
+        broken.write_text(text)
+        code, _ = run(capsys, "solve", str(broken), "--algo", "brute")
+        assert code == 2
 
 
 def test_solver_failure_exits_1(tmp_path, capsys):
@@ -163,6 +166,21 @@ def test_certify_spectral(tmp_path, capsys):
     assert cert["psd_rank_certificate"] == "certified"
     assert cert["eigenvalues"] == pytest.approx([0.0, 2.0, 2.0, 4.0], abs=1e-8)
     assert cert["bipolarity_agree"] is True
+
+
+def test_certify_spectral_with_rounding_level_alpha(tmp_path, capsys):
+    # 128 tied optima put the optimum's alpha at rounding level (~1e-16)
+    path = str(tmp_path / "me.json")
+    code, _ = run(capsys, "gen", "matching-eps", "--pairs", "8", "--eps",
+                  "0.12506055190198623", "--seed", "0", "-o", path)
+    assert code == 0
+    cut_path = str(tmp_path / "opt.json")
+    code, _ = run(capsys, "solve", path, "--algo", "brute", "--cut-out", cut_path)
+    assert code == 0
+    code, out = run(capsys, "certify", path, cut_path, "--spectral")
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["alpha_threshold"] != "inf" and cert["meets_alpha_condition"] is False
 
 
 def test_split_roundtrip(tmp_path, capsys):

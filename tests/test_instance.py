@@ -256,6 +256,25 @@ def test_instance_json_rejects_garbage():
         sc.instance_from_json({"n": 3, "weights": [[0, 3, 1.0]]})
 
 
+@pytest.mark.parametrize("n, entry", [
+    (3.9, [0, 1, 1.0]),   # n must be an integer, not truncated
+    (3.0, [0, 1, 1.0]),
+    (True, [0, 1, 1.0]),  # nor a bool
+    (3, [0, 1.7, 1.0]),   # vertex indices likewise
+    (3, [0, True, 1.0]),
+    (3, [0, 1, "1.0"]),   # weights are JSON numbers
+    (3, [0, 1, True]),
+    (3, (0, 1, 1.0)),     # entries are lists
+])
+def test_instance_json_requires_exact_types(n, entry):
+    with pytest.raises(InvalidInstanceError):
+        sc.instance_from_json({"n": n, "weights": [entry, [1, 2, 1.0]]})
+    with pytest.raises(InvalidInstanceError):
+        sc.instance_from_json({"n": 3, "weights": 5})
+    # integer weights are numbers too
+    assert sc.instance_from_json({"n": 3, "weights": [[0, 1, 2], [1, 2, 1.5]]}).weights[0, 1] == 2.0
+
+
 def test_cut_json_roundtrip(tmp_path):
     cut = sc.Cut([True, False, False, True])
     path = tmp_path / "cut.json"
@@ -263,3 +282,9 @@ def test_cut_json_roundtrip(tmp_path):
     assert sc.load_cut(path) == cut
     with pytest.raises(InvalidCutError):
         sc.cut_from_json({"side": [1, 1]})
+
+
+@pytest.mark.parametrize("side", [[2, 0, -1], [True, False, True], [1.0, 0.0, 1.0], "101", None])
+def test_cut_json_requires_zero_one_integers(side):
+    with pytest.raises(InvalidCutError):
+        sc.cut_from_json({"side": side})

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 import stablecut as sc
 from stablecut.errors import ParameterError, SizeLimitError
+from stablecut.oracle import subset_scan_minima
 
-from conftest import random_instance
+from conftest import random_cut, random_instance
 
 INF = math.inf
 
@@ -198,3 +200,69 @@ def test_local_distinction_identity():
         lhs = float(((xi - iota) / (xi + iota)).min())
         rhs = 1.0 if g == INF else (g - 1.0) / (g + 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# differential check against a reference built from subsets alone
+# ---------------------------------------------------------------------------
+
+
+def _ref_cuts(n):
+    """Every cut with vertex 0 in S and S != V, in lexicographic side order."""
+    for rest in itertools.product((False, True), repeat=n - 1):
+        if not all(rest):
+            yield sc.Cut((True,) + rest)
+
+
+def _ref_maxcut(inst):
+    cuts = list(_ref_cuts(inst.n))
+    weights = [sc.cut_weight(inst, c) for c in cuts]
+    best = max(weights)
+    optima = [c for c, w in zip(cuts, weights) if w >= best - 1e-9 * best]
+    return optima[0], sc.cut_weight(inst, optima[0]), len(optima)
+
+
+def _ref_minima(inst, cut):
+    """(gamma, alpha, cheeger) over every nonempty proper subset."""
+    total_mu = float(inst.weights.sum())
+    gamma = alpha = cheeger = INF
+    for k in range(1, inst.n):
+        for subset in itertools.combinations(range(inst.n), k):
+            s = sc.subset_stats(inst, cut, subset)
+            smaller = min(s.mu, total_mu - s.mu)
+            gamma = min(gamma, s.xi / s.iota if s.iota > 0 else INF)
+            alpha = min(alpha, (s.xi - s.iota) / smaller)
+            cheeger = min(cheeger, s.tau / smaller)
+    return gamma, alpha, cheeger
+
+
+def _ref_local_gamma(inst, cut):
+    stats = [sc.subset_stats(inst, cut, v) for v in range(inst.n)]
+    return min(s.xi / s.iota if s.iota > 0 else INF for s in stats)
+
+
+def test_oracle_matches_subset_reference():
+    rng = np.random.default_rng(2026)
+    pool = [random_instance(rng, int(rng.integers(3, 11))) for _ in range(8)]
+    pool += [sc.Instance(np.ones((n, n)) - np.eye(n)) for n in (4, 5, 6, 7)]  # tie-heavy
+    pool += [sc.gen_matching_epsilon(pairs, 1e-3) for pairs in (2, 3, 4, 5)]
+    for inst in pool:
+        cut, w, count = sc.brute_force_maxcut(inst)
+        assert (cut, w, count) == _ref_maxcut(inst)
+        for c in (cut, random_cut(rng, inst.n)):
+            gamma, alpha, cheeger = _ref_minima(inst, c)
+            assert subset_scan_minima(inst.weights, c.delta) == pytest.approx(
+                (gamma, alpha, cheeger), rel=1e-9, abs=1e-12)
+            assert subset_scan_minima(inst.weights, None) == pytest.approx(
+                (INF, INF, cheeger), rel=1e-9, abs=1e-12)
+            assert sc.local_stability_gamma(inst, c) == pytest.approx(
+                _ref_local_gamma(inst, c), rel=1e-9)
+        local = [(c, _ref_local_gamma(inst, c)) for c in _ref_cuts(inst.n)]
+        for level in (1.0, 1.1, 2.0):
+            expected = [c for c, g in local if g >= level * (1 - 1e-9)]
+            assert sc.enumerate_locally_stable_cuts(inst, level) == expected
+
+    # n = 16 spans two scan chunks, and the 128 tied optima come out as two
+    # float weights one ulp apart, the larger one first in scan order
+    inst = sc.gen_matching_epsilon(8, 1e-3)
+    assert sc.brute_force_maxcut(inst) == _ref_maxcut(inst)

@@ -5,7 +5,7 @@ import pytest
 
 import stablecut as sc
 from stablecut.errors import ParameterError, PreconditionError
-from stablecut.spectral import binary_shift, eig_zero_tol, weight_scale
+from stablecut.spectral import binary_shift, eig_zero_tol, spectral_threshold, weight_scale
 
 from conftest import random_cut, random_instance
 
@@ -69,6 +69,20 @@ def test_distinguished_condition(c4, k3, c4_maxcut):
     rep = sc.distinguished_condition(k3, sc.Cut([True, False, False]))
     assert rep.gamma_local == 1.0
     assert not rep.meets_cheeger and not rep.meets_alpha
+
+
+def test_spectral_threshold_without_cancellation():
+    # 2 / (1 - sqrt(1 - x^2)) with 1 - sqrt(...) evaluated directly is 0/0
+    # below x ~ 1e-8; the optimum of 8-pair matching-eps has alpha ~ 1.6e-16
+    assert spectral_threshold(0.5) == 14.928203230275509
+    assert spectral_threshold(1.0) == spectral_threshold(2.0) == 2.0
+    tiny = 1.6143722007995697e-16
+    assert spectral_threshold(tiny) == pytest.approx(4.0 / tiny**2)
+    assert spectral_threshold(0.0) == spectral_threshold(-0.1) == spectral_threshold(1e-170) == INF
+    inst = sc.gen_matching_epsilon(8, 0.12506055190198623)
+    opt, _, count = sc.brute_force_maxcut(inst)
+    rep = sc.distinguished_condition(inst, opt)
+    assert count == 128 and abs(rep.alpha) < 1e-12 and not rep.meets_alpha
 
 
 # ---------------------------------------------------------------------------
