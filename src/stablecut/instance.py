@@ -9,6 +9,7 @@ threads.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,12 +64,12 @@ class Instance:
         n = W.shape[0]
         if n < 2:
             raise InvalidInstanceError("an instance needs at least 2 vertices")
+        if (W < 0.0).any() or not np.isfinite(W).all():
+            raise InvalidInstanceError("weights must be finite and nonnegative")
         if not np.array_equal(W, W.T):
             raise InvalidInstanceError("weights must be exactly symmetric")
         if np.diagonal(W).any():
             raise InvalidInstanceError("diagonal weights must be zero")
-        if (W < 0.0).any() or not np.isfinite(W).all():
-            raise InvalidInstanceError("weights must be finite and nonnegative")
         if not support_connected(W):
             raise InvalidInstanceError("positive-weight support graph must be connected")
         if labels is not None and len(labels) != n:
@@ -351,6 +352,8 @@ def instance_from_json(doc: dict) -> Instance:
         if key in seen:
             raise InvalidInstanceError(f"pair {key} listed more than once")
         seen.add(key)
+        if not abs(w) <= sys.float_info.max:  # NaN, +-inf or an int beyond float range
+            raise InvalidInstanceError(f"weight of pair {key} is not a finite float")
         W[i, j] = w
         W[j, i] = w
     return Instance(W)

@@ -1,34 +1,112 @@
 """Exact brute-force ground truth at desk scale.
 
-Every exhaustive scan here runs through one kernel, ``cut_sides``: chunked
-(n, k) blocks of all side vectors with vertex 0 in S, which enumerate both
-the bipartitions (up to complement) and the vertex subsets (up to
-complement symmetry).  It also enforces the size caps (n <= 24 for subset
-scans, n <= 28 for the max-cut scan).  On top of it sit one per-vertex
-xi/iota helper for single cuts and blocks, and one 0/0 -> +inf ratio rule.
-The maximum cut is found in a single pass that also counts the ties.
+Every exhaustive scan visits the side vectors with vertex 0 in S and S != V,
+which enumerate both the bipartitions (up to complement) and the vertex
+subsets (up to complement symmetry).  Mask m holds side[i] in bit n-1-i, and
+scans run in increasing mask order, the lexicographic order of side vectors.
+
+One layout, ``_Scan``, places those masks.  The free vertices 1..n-1 split
+into a high block of h = (n-1)//2 vertices and a low block of the other l, so
+m = a*2^l + b for a high pattern a and a low pattern b (vertex 1 is the most
+significant bit, which keeps the order above).  Every quantity a scan needs
+is a table over (a, b): a linear form v.chi is hi[a] + lo[b], and a
+quadratic form chi^T M chi adds the cross term (2 X_hi M_hl) X_lo^T, one
+small GEMM per chunk of high patterns.  A scan therefore costs O(n 2^n)
+rather than the O(n^2 2^n) of forming W @ sides.  The layout also owns the
+chunk boundaries (up to 2^14 masks each), the excluded all-ones mask and the
+size caps (n <= 24 for subset scans, n <= 28 for the max-cut scan), and it
+reads side vectors, such as the blocks ``cut_sides`` yields, off cached bit
+tables.
+
+On top of it sit one per-vertex xi/iota helper for single cuts and blocks,
+and one 0/0 -> +inf ratio rule.  The maximum cut is found in a single pass
+that also counts the ties.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SizeLimitError
-from .instance import (
-    Cut,
-    Instance,
-    REL_TOL,
-    ZERO_FRACTION,
-    cut_weight,
-    cut_weights_for_sides,
-)
+from .instance import Cut, Instance, REL_TOL, ZERO_FRACTION, cut_weight
 
 INF = math.inf
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14  # masks per chunk of a scan
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_table(k: int) -> np.ndarray:
+    """Read-only (2^k, k) 0/1 table: row r holds the bits of r, most significant first."""
+    r = np.arange(1 << k)
+    bits = ((r[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.float64)
+    bits.flags.writeable = False
+    return bits
+
+
+class _Scan:
+    """The mask layout shared by every exhaustive scan of an n-vertex instance.
+
+    A form is a triple (hi, lo, cross): its value at mask a*2^l + b is
+    hi[a] + lo[b] + (cross[a] . bits_lo[b] when cross is not None).
+    """
+
+    def __init__(self, n: int, max_n: int):
+        if n > max_n:
+            raise SizeLimitError(f"exhaustive scan capped at n <= {max_n}, got {n}")
+        self.n = n
+        h = (n - 1) // 2
+        self.l = n - 1 - h
+        self.hi = slice(1, 1 + h)
+        self.lo = slice(1 + h, n)
+        self.bits_hi = _bit_table(h)
+        self.bits_lo = _bit_table(self.l)
+        self.count = (1 << (n - 1)) - 1  # the all-ones mask (S = V) is excluded
+        self.rows = max(1, _CHUNK >> self.l)  # high patterns per chunk
+
+    def chunks(self):
+        """Yield (first mask, slice of high patterns, number of masks) per chunk."""
+        step = self.rows << self.l
+        for first in range(0, self.count, step):
+            a = first >> self.l
+            yield first, slice(a, a + self.rows), min(step, self.count - first)
+
+    def linear(self, v: np.ndarray) -> tuple:
+        """The form v . chi; for v of shape (..., n) the tables get shape (..., 2^k)."""
+        hi = v[..., :1] + v[..., self.hi] @ self.bits_hi.T
+        return hi, v[..., self.lo] @ self.bits_lo.T, None
+
+    def quadratic(self, M: np.ndarray) -> tuple:
+        """The form chi^T M chi for a symmetric (n, n) matrix M."""
+        Xh, Xl, hi, lo = self.bits_hi, self.bits_lo, self.hi, self.lo
+        q_hi = M[0, 0] + Xh @ (2.0 * M[0, hi]) + np.einsum("ai,ai->a", Xh @ M[hi, hi], Xh)
+        q_lo = Xl @ (2.0 * M[0, lo]) + np.einsum("bi,bi->b", Xl @ M[lo, lo], Xl)
+        return q_hi, q_lo, Xh @ (2.0 * M[hi, lo])
+
+    def table(self, form: tuple, rows: slice, size: int) -> np.ndarray:
+        """A scalar form's values at the chunk's masks, in mask order."""
+        hi, lo, cross = form
+        values = hi[rows, None] + lo[None, :]
+        if cross is not None:
+            values += cross[rows] @ self.bits_lo.T
+        return values.ravel()[:size]
+
+    def patterns(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(high pattern, low pattern) of every mask."""
+        return masks >> self.l, masks & ((1 << self.l) - 1)
+
+    def sides(self, masks: np.ndarray) -> np.ndarray:
+        """(n, k) boolean side vectors of k masks, read off the bit tables."""
+        a, b = self.patterns(masks)
+        sides = np.empty((self.n, masks.size), dtype=bool)
+        sides[0] = True
+        sides[self.hi] = self.bits_hi[a].T
+        sides[self.lo] = self.bits_lo[b].T
+        return sides
 
 
 def cut_sides(n: int, max_n: int):
@@ -37,15 +115,9 @@ def cut_sides(n: int, max_n: int):
     Blocks come in lexicographic order (bit n-1-i of the running mask holds
     side[i]).  Raises SizeLimitError when n > max_n.
     """
-    if n > max_n:
-        raise SizeLimitError(f"exhaustive scan capped at n <= {max_n}, got {n}")
-    n_masks = (1 << (n - 1)) - 1
-    shifts = np.array([n - 1 - i for i in range(1, n)], dtype=np.uint64)
-    for lo in range(0, n_masks, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, n_masks), dtype=np.uint64)
-        sides = np.ones((n, masks.size), dtype=bool)
-        sides[1:] = (masks[None, :] >> shifts[:, None]) & 1
-        yield sides
+    scan = _Scan(n, max_n)
+    for first, _, size in scan.chunks():
+        yield scan.sides(np.arange(first, first + size))
 
 
 def _ratio_or_inf(num: np.ndarray, den: np.ndarray, zero: float) -> np.ndarray:
@@ -62,21 +134,24 @@ def brute_force_maxcut(inst: Instance, max_n: int = 28) -> tuple[Cut, float, int
     tolerance 1e-9.
     """
     W = inst.weights
+    scan = _Scan(inst.n, max_n)
+    # w(S, S-bar) = mu . chi - chi^T W chi for chi the 0/1 vector of S
+    mu_form, inner_form = scan.linear(W.sum(axis=1)), scan.quadratic(W)
     best = -INF
     # Cuts within tolerance of the running best (a superset of the final
     # optima) are tallied per distinct weight, so memory stays small however
     # many optima tie.  Weights enter in scan order of their first cut.
-    near: dict[float, list] = {}  # weight -> [first side, count]
-    for sides in cut_sides(inst.n, max_n):
-        w = cut_weights_for_sides(W, sides)
+    near: dict[float, list] = {}  # weight -> [first mask, count]
+    for first, rows, size in scan.chunks():
+        w = scan.table(mu_form, rows, size) - scan.table(inner_form, rows, size)
         best = max(best, float(w.max()))
         idx = np.flatnonzero(w >= best - REL_TOL * best)
-        values, first, counts = np.unique(w[idx], return_index=True, return_counts=True)
-        for j in np.argsort(first):
-            entry = near.setdefault(float(values[j]), [sides[:, idx[first[j]]].copy(), 0])
+        values, first_at, counts = np.unique(w[idx], return_index=True, return_counts=True)
+        for j in np.argsort(first_at):
+            entry = near.setdefault(float(values[j]), [first + int(idx[first_at[j]]), 0])
             entry[1] += int(counts[j])
     optima = [entry for v, entry in near.items() if v >= best - REL_TOL * best]
-    cut = Cut(optima[0][0])
+    cut = Cut(scan.sides(np.array([optima[0][0]]))[:, 0])
     return cut, cut_weight(inst, cut), sum(count for _, count in optima)
 
 
@@ -90,23 +165,23 @@ def subset_scan_minima(
     When ``delta`` is None only the Cheeger minimum is meaningful and the
     first two come back as +inf.  0/0 ratios are +inf by convention.
     """
-    n = W.shape[0]
+    scan = _Scan(W.shape[0], max_n)
     mu = W.sum(axis=1)
     total_mu = float(mu.sum())
     zero = ZERO_FRACTION * max(total_mu, 1e-300)
+    forms = [scan.linear(mu), scan.quadratic(W)]
     if delta is not None:
         W_cut = W * (delta[:, None] * delta[None, :] < 0)
-        xi_vec = W_cut.sum(axis=1)
+        forms += [scan.linear(W_cut.sum(axis=1)), scan.quadratic(W_cut)]
     gamma = alpha = cheeger = INF
-    for sides in cut_sides(n, max_n):
-        chi = sides.astype(np.float64)
-        mu_a = mu @ chi
-        tau = mu_a - np.einsum("ik,ik->k", chi, W @ chi)
+    for _, rows, size in scan.chunks():
+        mu_a, inner, *cut_part = (scan.table(form, rows, size) for form in forms)
+        tau = mu_a - inner
         min_side = np.minimum(mu_a, total_mu - mu_a)
         min_side_safe = np.where(min_side > zero, min_side, INF)
         cheeger = min(cheeger, float((tau / min_side_safe).min()))
-        if delta is not None:
-            xi = xi_vec @ chi - np.einsum("ik,ik->k", chi, W_cut @ chi)
+        if cut_part:
+            xi = cut_part[0] - cut_part[1]
             iota = tau - xi
             gamma = min(gamma, float(_ratio_or_inf(xi, iota, zero).min()))
             alpha = min(alpha, float(((xi - iota) / min_side_safe).min()))
@@ -171,13 +246,27 @@ def enumerate_locally_stable_cuts(inst: Instance, gamma: float, max_n: int = 24)
     if gamma < 1.0:
         raise ParameterError("gamma must be >= 1")
     W = inst.weights
+    scan = _Scan(inst.n, max_n)
+    mu = W.sum(axis=1)
     zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
+    to_s_hi, to_s_lo, _ = scan.linear(W)  # (W chi)[x] = to_s_hi[x, a] + to_s_lo[x, b]
+
+    def stable(xi: np.ndarray, iota: np.ndarray) -> np.ndarray:
+        return xi - gamma * iota >= -REL_TOL * np.maximum(xi, gamma * iota) - zero
+
     found: list[Cut] = []
-    for sides in cut_sides(inst.n, max_n):
-        xi, iota = per_vertex_cut_weights(W, sides)
-        slack = xi - gamma * iota
-        ok = (slack >= -REL_TOL * np.maximum(xi, gamma * iota) - zero).all(axis=0)
-        found.extend(Cut(sides[:, k]) for k in np.flatnonzero(ok))
+    for first, rows, size in scan.chunks():
+        # vertex 0 (always in S) is tested on the whole chunk, every later
+        # vertex only on the masks that the earlier ones let through
+        to_s = scan.table((to_s_hi[0], to_s_lo[0], None), rows, size)
+        xi = mu[0] - to_s
+        masks = first + np.flatnonzero(stable(xi, mu[0] - xi))
+        for x in range(1, inst.n):
+            a, b = scan.patterns(masks)
+            to_s = to_s_hi[x, a] + to_s_lo[x, b]
+            xi = np.where((masks >> (inst.n - 1 - x)) & 1, mu[x] - to_s, to_s)
+            masks = masks[stable(xi, mu[x] - xi)]
+        found.extend(Cut(side) for side in scan.sides(masks).T)
     return found
 
 

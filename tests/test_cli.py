@@ -134,7 +134,11 @@ def test_verify_rejects_non_cut(tmp_path, capsys):
 def test_malformed_instance_exits_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     for text in ("{not json", '{"n": 3.9, "weights": [[0, 1, 1.0], [1, 2, 1.0]]}',
-                 '{"n": 3, "weights": [[0, 1.7, 1.0], [1, 2, 1.0]]}'):
+                 '{"n": 3, "weights": [[0, 1.7, 1.0], [1, 2, 1.0]]}',
+                 '{"n": 2, "weights": [[0, 1, 1%s]]}' % ("0" * 400),
+                 '{"n": 2, "weights": [[0, 1, 1e400]]}',
+                 '{"n": 2, "weights": [[0, 1, NaN]]}',
+                 '{"n": 2, "weights": [[0, 1, -Infinity]]}'):
         broken.write_text(text)
         code, _ = run(capsys, "solve", str(broken), "--algo", "brute")
         assert code == 2
@@ -169,18 +173,24 @@ def test_certify_spectral(tmp_path, capsys):
 
 
 def test_certify_spectral_with_rounding_level_alpha(tmp_path, capsys):
-    # 128 tied optima put the optimum's alpha at rounding level (~1e-16)
-    path = str(tmp_path / "me.json")
-    code, _ = run(capsys, "gen", "matching-eps", "--pairs", "8", "--eps",
-                  "0.12506055190198623", "--seed", "0", "-o", path)
-    assert code == 0
-    cut_path = str(tmp_path / "opt.json")
-    code, _ = run(capsys, "solve", path, "--algo", "brute", "--cut-out", cut_path)
-    assert code == 0
-    code, out = run(capsys, "certify", path, cut_path, "--spectral")
-    assert code == 0
-    cert = json.loads(out)
-    assert cert["alpha_threshold"] != "inf" and cert["meets_alpha_condition"] is False
+    # tied optima put the optimum's exact alpha at 0; the subset scan returns
+    # 0 (infinite threshold) or a rounding-level positive alpha (~1e-16), whose
+    # threshold is finite but huge; neither may crash or meet the condition
+    for pairs, eps, finite in (("8", "0.12506055190198623", False),
+                               ("5", "0.07619728746098149", True)):
+        path = str(tmp_path / f"me{pairs}.json")
+        code, _ = run(capsys, "gen", "matching-eps", "--pairs", pairs, "--eps", eps,
+                      "--seed", "0", "-o", path)
+        assert code == 0
+        cut_path = str(tmp_path / f"opt{pairs}.json")
+        code, _ = run(capsys, "solve", path, "--algo", "brute", "--cut-out", cut_path)
+        assert code == 0
+        code, out = run(capsys, "certify", path, cut_path, "--spectral")
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["meets_alpha_condition"] is False
+        if finite:
+            assert 0.0 < cert["alpha"] < 1e-12 and cert["alpha_threshold"] != "inf"
 
 
 def test_split_roundtrip(tmp_path, capsys):

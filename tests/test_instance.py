@@ -24,6 +24,8 @@ def test_instance_rejects_bad_matrices():
         sc.Instance([[0.0, 1.0], [2.0, 0.0]])  # asymmetric
     with pytest.raises(InvalidInstanceError):
         sc.Instance([[0.0, -1.0], [-1.0, 0.0]])  # negative
+    with pytest.raises(InvalidInstanceError, match="finite"):
+        sc.Instance([[0.0, float("nan")], [float("nan"), 0.0]])  # not reported as asymmetric
     with pytest.raises(InvalidInstanceError):
         sc.Instance([[1.0, 1.0], [1.0, 0.0]])  # diagonal
     with pytest.raises(InvalidInstanceError):

@@ -6,7 +6,8 @@ import pytest
 
 import stablecut as sc
 from stablecut.errors import ParameterError, SizeLimitError
-from stablecut.oracle import subset_scan_minima
+from stablecut.instance import REL_TOL, ZERO_FRACTION, cut_weights_for_sides
+from stablecut.oracle import cut_sides, per_vertex_cut_weights, subset_scan_minima
 
 from conftest import random_cut, random_instance
 
@@ -157,7 +158,6 @@ def test_local_stability_matches_perturbation_definition():
         if not math.isfinite(g) or g <= 1.0:
             continue
         checked += 1
-        from stablecut.oracle import per_vertex_cut_weights
         xi, iota = per_vertex_cut_weights(inst.weights, opt.side)
         x = int(np.argmin(np.where(iota > 0, xi / np.where(iota > 0, iota, 1), math.inf)))
         factor = g * (1 + 1e-6)
@@ -195,7 +195,6 @@ def test_local_distinction_identity():
         inst = random_instance(rng, n)
         cut, _, _ = _profile(inst)
         g = sc.local_stability_gamma(inst, cut)
-        from stablecut.oracle import per_vertex_cut_weights
         xi, iota = per_vertex_cut_weights(inst.weights, cut.side)
         lhs = float(((xi - iota) / (xi + iota)).min())
         rhs = 1.0 if g == INF else (g - 1.0) / (g + 1.0)
@@ -262,7 +261,93 @@ def test_oracle_matches_subset_reference():
             expected = [c for c, g in local if g >= level * (1 - 1e-9)]
             assert sc.enumerate_locally_stable_cuts(inst, level) == expected
 
-    # n = 16 spans two scan chunks, and the 128 tied optima come out as two
-    # float weights one ulp apart, the larger one first in scan order
+    # n = 16 spans two scan chunks and has 128 tied optima
     inst = sc.gen_matching_epsilon(8, 1e-3)
     assert sc.brute_force_maxcut(inst) == _ref_maxcut(inst)
+
+
+# ---------------------------------------------------------------------------
+# differential check against the per-chunk kernel the block scan replaced
+# ---------------------------------------------------------------------------
+
+
+def _chunked_sides(n, chunk=1 << 14):
+    """(n, k) side blocks built by shifting each chunk's masks, in mask order."""
+    n_masks = (1 << (n - 1)) - 1
+    shifts = np.arange(n - 2, -1, -1, dtype=np.uint64)
+    for lo in range(0, n_masks, chunk):
+        masks = np.arange(lo, min(lo + chunk, n_masks), dtype=np.uint64)
+        sides = np.ones((n, masks.size), dtype=bool)
+        sides[1:] = (masks[None, :] >> shifts[:, None]) & 1
+        yield sides
+
+
+def _chunked_maxcut(inst):
+    best, near = -INF, {}
+    for sides in _chunked_sides(inst.n):
+        w = cut_weights_for_sides(inst.weights, sides)
+        best = max(best, float(w.max()))
+        idx = np.flatnonzero(w >= best - REL_TOL * best)
+        values, first, counts = np.unique(w[idx], return_index=True, return_counts=True)
+        for j in np.argsort(first):
+            entry = near.setdefault(float(values[j]), [sides[:, idx[first[j]]].copy(), 0])
+            entry[1] += int(counts[j])
+    optima = [entry for v, entry in near.items() if v >= best - REL_TOL * best]
+    cut = sc.Cut(optima[0][0])
+    return cut, sc.cut_weight(inst, cut), sum(count for _, count in optima)
+
+
+def _chunked_minima(W, delta):
+    mu = W.sum(axis=1)
+    total_mu = float(mu.sum())
+    zero = ZERO_FRACTION * max(total_mu, 1e-300)
+    if delta is not None:
+        W_cut = W * (delta[:, None] * delta[None, :] < 0)
+    gamma = alpha = cheeger = INF
+    for sides in _chunked_sides(W.shape[0]):
+        chi = sides.astype(np.float64)
+        mu_a = mu @ chi
+        tau = mu_a - np.einsum("ik,ik->k", chi, W @ chi)
+        min_side = np.minimum(mu_a, total_mu - mu_a)
+        min_side_safe = np.where(min_side > zero, min_side, INF)
+        cheeger = min(cheeger, float((tau / min_side_safe).min()))
+        if delta is not None:
+            xi = W_cut.sum(axis=1) @ chi - np.einsum("ik,ik->k", chi, W_cut @ chi)
+            iota = tau - xi
+            ratio = np.where(iota > zero, xi / np.where(iota > zero, iota, 1.0), INF)
+            gamma = min(gamma, float(ratio.min()))
+            alpha = min(alpha, float(((xi - iota) / min_side_safe).min()))
+    return gamma, alpha, cheeger
+
+
+def _chunked_enumeration(inst, gamma):
+    W = inst.weights
+    zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
+    found = []
+    for sides in _chunked_sides(inst.n):
+        xi, iota = per_vertex_cut_weights(W, sides)
+        slack = xi - gamma * iota
+        ok = (slack >= -REL_TOL * np.maximum(xi, gamma * iota) - zero).all(axis=0)
+        found.extend(sc.Cut(sides[:, k]) for k in np.flatnonzero(ok))
+    return found
+
+
+def test_block_scan_matches_chunked_kernel():
+    # sizes cover no split (n = 2), the first split (n = 3), one partial chunk
+    # and full chunks before a partial last one (n = 16, 18)
+    rng = np.random.default_rng(314)
+    pool = [random_instance(rng, n) for n in (2, 3, 5, 9, 12, 13, 14, 16, 18)]
+    pool += [sc.Instance(np.ones((n, n)) - np.eye(n)) for n in (2, 3, 5, 9, 12, 13)]
+    pool += [sc.gen_matching_epsilon(pairs, float(rng.uniform(1e-3, 0.3)))
+             for pairs in (1, 6, 7, 8, 9)]
+    for inst in pool:
+        n = inst.n
+        assert np.array_equal(np.concatenate(list(cut_sides(n, 28)), axis=1),
+                              np.concatenate(list(_chunked_sides(n)), axis=1))
+        opt = sc.brute_force_maxcut(inst)
+        assert opt == _chunked_maxcut(inst)
+        for delta in (None, opt[0].delta, random_cut(rng, n).delta):
+            assert subset_scan_minima(inst.weights, delta) == pytest.approx(
+                _chunked_minima(inst.weights, delta), rel=1e-12, abs=1e-12)
+        for level in (1.0, 1.1, 2.0):
+            assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
