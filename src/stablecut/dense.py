@@ -91,8 +91,8 @@ def draw_samples(n: int, m: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n, size=m)
 
 
-def partition_chunks(cfg: DenseSolverConfig, samples: np.ndarray,
-                     sample_sides: np.ndarray | None):
+def _partition_chunks(cfg: DenseSolverConfig, samples: np.ndarray,
+                      sample_sides: np.ndarray | None):
     """Yield boolean (k, m) partition blocks; True marks a sample assigned to R.
 
     Enumeration is chunked so the cap (2^22 partitions) stays within memory.
@@ -128,7 +128,7 @@ def induced_side_matrix(W: np.ndarray, samples: np.ndarray,
     return (M @ signs.T) > 0.0
 
 
-def best_valid(W: np.ndarray, sides: np.ndarray) -> tuple[int, float] | None:
+def _best_valid(W: np.ndarray, sides: np.ndarray) -> tuple[int, float] | None:
     """Index and weight of the heaviest nondegenerate side vector (first wins ties)."""
     counts = sides.sum(axis=0)
     valid = np.flatnonzero((counts > 0) & (counts < W.shape[0]))
@@ -139,30 +139,35 @@ def best_valid(W: np.ndarray, sides: np.ndarray) -> tuple[int, float] | None:
     return int(valid[k]), float(w[k])
 
 
-def dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:
-    """Run the sampling solver and return the heaviest induced valid cut.
+def best_induced_cut(inst: Instance, votes: np.ndarray, samples: np.ndarray,
+                     cfg: DenseSolverConfig) -> Cut:
+    """Heaviest valid cut of ``inst`` induced by the sample partitions ``cfg`` selects.
 
-    Raises SolverFailure when every considered partition induces a
-    degenerate assignment (one side empty); callers may retry with a fresh
-    seed.
+    ``samples`` are vertices of ``inst`` and vertex x votes with the row
+    ``votes[x, samples]``.  Raises SolverFailure when every considered
+    partition induces a degenerate assignment (one side empty); callers may
+    retry with a fresh seed.
     """
-    n = inst.n
-    m = cfg.resolve_m(n)
-    samples = draw_samples(n, m, cfg.seed)
     sample_sides = None
     if cfg.seed_cut is not None:
-        if cfg.seed_cut.n != n:
+        if cfg.seed_cut.n != inst.n:
             raise ParameterError("seed_cut size mismatch")
         sample_sides = cfg.seed_cut.side[samples]
     best_side, best_w = None, -math.inf
-    for r_masks in partition_chunks(cfg, samples, sample_sides):
-        sides = induced_side_matrix(inst.weights, samples, r_masks)
-        hit = best_valid(inst.weights, sides)
+    for r_masks in _partition_chunks(cfg, samples, sample_sides):
+        sides = induced_side_matrix(votes, samples, r_masks)
+        hit = _best_valid(inst.weights, sides)
         if hit is not None and hit[1] > best_w:
             best_side, best_w = sides[:, hit[0]].copy(), hit[1]
     if best_side is None:
         raise SolverFailure("every sample partition induced a degenerate cut")
     return Cut(best_side)
+
+
+def dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:
+    """Run the sampling solver with ``inst``'s own weights as votes; see ``best_induced_cut``."""
+    samples = draw_samples(inst.n, cfg.resolve_m(inst.n), cfg.seed)
+    return best_induced_cut(inst, inst.weights, samples, cfg)
 
 
 def per_vertex_failures(inst: Instance, cut: Cut, samples: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ total weight is normalized to 2 n^2 over ordered pairs) and divides each
 weight by the product of the fiber sizes.  The map (S, S-bar) ->
 (pi^{-1}(S), pi^{-1}(S-bar)) preserves cut weights, stability and local
 stability exactly, and the split instance of a metric is roughly 4-dense,
-which is what the sampling solver needs.
+which is what the sampling solver needs.  The solver samples split vertices
+but votes with one row per original vertex over the samples' vertices, so
+it never builds the split.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseSolverConfig, best_valid, draw_samples, induced_side_matrix, partition_chunks
-from .errors import DegenerateInstanceError, ParameterError, PreconditionError, SolverFailure
+from .dense import DenseSolverConfig, best_induced_cut, draw_samples
+from .errors import DegenerateInstanceError, ParameterError, PreconditionError
 from .instance import Cut, Instance, REL_TOL, cut_weight, is_metric
 
 # Absorbs representation error in floor(tau) after floating-point
@@ -51,8 +53,12 @@ def normalize_total_weight(inst: Instance) -> tuple[Instance, float]:
     return Instance(inst.weights * scale, labels=inst.labels), scale
 
 
-def split_instance(inst: Instance) -> SplitMap:
-    """Split a normalized instance into floor(tau(x)) copies per vertex."""
+def _fibers(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pi, multiplicity, scaled) of a normalized instance.
+
+    scaled[x, y] = w(x, y) / (mult[x] mult[y]) joins any copy of x to any
+    copy of y in the split; its zero diagonal leaves each fiber unjoined.
+    """
     n = inst.n
     total = float(inst.weights.sum())
     target = 2.0 * n ** 2
@@ -63,11 +69,14 @@ def split_instance(inst: Instance) -> SplitMap:
     mult = np.floor(tau + FLOOR_EPS).astype(int)
     if (mult < 1).any():
         raise DegenerateInstanceError("every floor(tau(x)) must be >= 1")
-    pi = np.repeat(np.arange(n), mult)
-    scaled = inst.weights / np.outer(mult, mult)
-    W = scaled[np.ix_(pi, pi)]
-    W[pi[:, None] == pi[None, :]] = 0.0
-    return SplitMap(original=inst, split=Instance(W), pi=pi, multiplicity=mult)
+    return np.repeat(np.arange(n), mult), mult, inst.weights / np.outer(mult, mult)
+
+
+def split_instance(inst: Instance) -> SplitMap:
+    """Split a normalized instance into floor(tau(x)) copies per vertex."""
+    pi, mult, scaled = _fibers(inst)
+    return SplitMap(original=inst, split=Instance(scaled[np.ix_(pi, pi)]),
+                    pi=pi, multiplicity=mult)
 
 
 def lift_cut(smap: SplitMap, cut: Cut) -> Cut:
@@ -95,33 +104,18 @@ def _require_metric(inst: Instance) -> None:
 
 
 def metric_dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:
-    """Normalize, split, run the dense sampling solver, and project back.
+    """Normalize and run the dense sampling solver on the split instance, without building it.
 
-    Candidate cuts of the split instance that are not fiber-constant are
-    repaired by per-fiber majority vote (ties to the S side) before scoring,
-    so no sample partition is wasted.
+    Samples are drawn over the split vertices and mapped to their original
+    vertices.  Copies of one vertex have identical rows in the split, so one
+    vertex votes for its whole fiber, with its fiber-scaled row at the
+    samples' vertices.
     """
     _require_metric(inst)
     normalized, _ = normalize_total_weight(inst)
-    smap = split_instance(normalized)
-    n_split = smap.split.n
-    m = cfg.resolve_m(n_split)
-    samples = draw_samples(n_split, m, cfg.seed)
-    sample_sides = None
-    if cfg.seed_cut is not None:
-        sample_sides = lift_cut(smap, cfg.seed_cut).side[samples]
-    best_side, best_w = None, -math.inf
-    for r_masks in partition_chunks(cfg, samples, sample_sides):
-        split_sides = induced_side_matrix(smap.split.weights, samples, r_masks)
-        fiber_votes = np.zeros((inst.n, split_sides.shape[1]))
-        np.add.at(fiber_votes, smap.pi, split_sides.astype(np.float64))
-        repaired = 2.0 * fiber_votes >= smap.multiplicity[:, None]
-        hit = best_valid(inst.weights, repaired)
-        if hit is not None and hit[1] > best_w:
-            best_side, best_w = repaired[:, hit[0]].copy(), hit[1]
-    if best_side is None:
-        raise SolverFailure("every sample partition induced a degenerate cut")
-    return Cut(best_side)
+    pi, _, scaled = _fibers(normalized)
+    samples = draw_samples(pi.size, cfg.resolve_m(pi.size), cfg.seed)
+    return best_induced_cut(inst, scaled, pi[samples], cfg)
 
 
 def enumerate_balls(inst: Instance) -> list[tuple[int, float, np.ndarray]]:

@@ -88,6 +88,12 @@ def test_config_validation(c4):
         sc.dense_solve(c4, DenseSolverConfig(m=4, mode="seeded"))  # no seed_cut
     with pytest.raises(ParameterError):
         sc.dense_solve(c4, DenseSolverConfig(m=4, mode="random"))  # no k
+    three = sc.Cut([True, False, False])
+    with pytest.raises(ParameterError, match="seed_cut size mismatch"):
+        sc.dense_solve(c4, DenseSolverConfig(m=4, mode="seeded", seed_cut=three))
+    two = sc.Instance([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ParameterError, match="seed_cut size mismatch"):
+        sc.metric_dense_solve(two, DenseSolverConfig(m=4, mode="seeded", seed_cut=three))
     # m resolved from (C, eps) when omitted
     cut = sc.dense_solve(c4, DenseSolverConfig(C=2.0, eps=4.0, mode="random", k=8, seed=3))
     assert sc.cut_weight(c4, cut) > 0

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import stablecut as sc
-from stablecut.dense import DenseSolverConfig
-from stablecut.errors import PreconditionError
-from stablecut.metric import enumerate_balls
+from stablecut.dense import (DenseSolverConfig, _best_valid, _partition_chunks, draw_samples,
+                             induced_side_matrix)
+from stablecut.errors import ParameterError, PreconditionError, SolverFailure, StableCutError
+from stablecut.metric import FLOOR_EPS, enumerate_balls
 
 
 def test_normalize_total_weight(c4):
@@ -162,6 +165,93 @@ def test_metric_dense_solve_tightness_majority_or_vacuous_bound():
         sc.metric_dense_solve(inst, DenseSolverConfig(m=8, mode="enumerate", seed=s)), opt)
         for s in range(20))
     assert hits > 10 or bound >= 0.5
+
+
+def _split_vote_solve(inst, cfg):
+    """The split-matrix solver, kept as the reference: it builds the split,
+    votes with its rows and repairs every candidate by a per-fiber majority."""
+    if not sc.is_metric(inst):
+        raise PreconditionError("instance is not a metric")
+    normalized, _ = sc.normalize_total_weight(inst)
+    mult = np.floor(normalized.degrees() + FLOOR_EPS).astype(int)
+    pi = np.repeat(np.arange(inst.n), mult)
+    W = (normalized.weights / np.outer(mult, mult))[np.ix_(pi, pi)]
+    W[pi[:, None] == pi[None, :]] = 0.0
+    assert W.tobytes() == sc.split_instance(normalized).split.weights.tobytes()
+    samples = draw_samples(pi.size, cfg.resolve_m(pi.size), cfg.seed)
+    sample_sides = None
+    if cfg.seed_cut is not None:
+        if cfg.seed_cut.n != inst.n:
+            raise ParameterError("cut size mismatch")
+        sample_sides = cfg.seed_cut.side[pi[samples]]
+    best_side, best_w = None, -np.inf
+    for r_masks in _partition_chunks(cfg, samples, sample_sides):
+        split_sides = induced_side_matrix(W, samples, r_masks)
+        fiber_votes = np.zeros((inst.n, split_sides.shape[1]))
+        np.add.at(fiber_votes, pi, split_sides.astype(np.float64))
+        repaired = 2.0 * fiber_votes >= mult[:, None]
+        hit = _best_valid(inst.weights, repaired)
+        if hit is not None and hit[1] > best_w:
+            best_side, best_w = repaired[:, hit[0]].copy(), hit[1]
+    if best_side is None:
+        raise SolverFailure("every sample partition induced a degenerate cut")
+    return sc.Cut(best_side)
+
+
+def _outcome(solve, inst, cfg):
+    try:
+        return solve(inst, cfg).side.tobytes()
+    except StableCutError as exc:
+        return type(exc)
+
+
+def _differential_pool():
+    """(instance, seed cut) pairs: Euclidean clouds, tightness examples and
+    {1, 2} metrics, whose exact vote ties exercise the strict w(x, R) > w(x, L) rule."""
+    for n in (2, 4, 8, 12, 24, 40):
+        for k in range(3 if n <= 12 else 1):  # n = 24 and 40 split into ~1k and ~3k copies
+            planted = sc.gen_euclidean_metric(n, 1 + k, (0.5, 2.0, 10.0)[k], seed=n + k)
+            yield planted.instance, planted.planted_cut
+    for pairs in range(2, 6):
+        planted = sc.gen_tightness_example(pairs)
+        yield planted.instance, planted.planted_cut
+    rng = np.random.default_rng(5)
+    for n in (4, 6, 9, 13):
+        upper = np.triu(rng.integers(1, 3, size=(n, n)), 1).astype(float)
+        yield sc.Instance(upper + upper.T), sc.Cut(np.arange(n) % 3 == 0)
+
+
+def test_metric_dense_matches_split_vote_solver():
+    for inst, cut in _differential_pool():
+        for seed in range(2):
+            for cfg in (DenseSolverConfig(m=8, mode="enumerate", seed=seed),
+                        DenseSolverConfig(m=12, mode="random", k=40, seed=seed),
+                        DenseSolverConfig(C=4.0, eps=40.0, mode="random", k=20, seed=seed),
+                        DenseSolverConfig(m=6, mode="seeded", seed=seed, seed_cut=cut),
+                        DenseSolverConfig(m=1, mode="seeded", seed=seed, seed_cut=cut)):
+                expected = _outcome(_split_vote_solve, inst, cfg)
+                assert _outcome(sc.metric_dense_solve, inst, cfg) == expected, (inst, cfg)
+    wrong_size = DenseSolverConfig(m=4, mode="seeded", seed_cut=sc.Cut([True, False, False]))
+    c4 = sc.Instance([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+    two = sc.Instance([[0.0, 1.0], [1.0, 0.0]])
+    for inst, cfg in ((two, wrong_size), (two, DenseSolverConfig(m=23, mode="enumerate")),
+                      (two, DenseSolverConfig(m=4, mode="random")),
+                      (c4, DenseSolverConfig(m=4, mode="enumerate"))):
+        assert _outcome(sc.metric_dense_solve, inst, cfg) == _outcome(_split_vote_solve, inst, cfg)
+
+
+def test_metric_dense_reaches_n80_in_small_memory():
+    # the split of this instance has ~12.8k copies: a split matrix would take 1.3 GB
+    planted = sc.gen_euclidean_metric(80, 2, 10.0, seed=0)
+    tracemalloc.start()
+    try:
+        cut = sc.metric_dense_solve(planted.instance, DenseSolverConfig(m=10, mode="enumerate", seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sc.same_bipartition(cut, planted.planted_cut)
+    assert sc.psd_rank_certificate(sc.build_spectral_bundle(planted.instance, cut)) == "certified"
+    assert peak < 32 * 2 ** 20
 
 
 def test_ball_enumeration_solve(pair_metric):
