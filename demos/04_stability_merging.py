@@ -22,7 +22,7 @@ gamma = sc.cut_stability_gamma(inst, planted.planted_cut)
 print(f"generated instance with oracle-verified stability {gamma:.2f}")
 
 opt, opt_w, _ = sc.brute_force_maxcut(inst)
-witness = sc.find_same_side_pair_sqrt(inst, threshold + 1e-6)
+witness = sc.find_same_side_pair_sqrt(inst.weights, threshold + 1e-6)
 print("first certified same-side pair:", witness.pair, f"({witness.kind})",
       "| truly same side:", bool(opt.side[witness.pair[0]] == opt.side[witness.pair[1]]))
 

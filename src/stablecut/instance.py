@@ -224,29 +224,38 @@ def cut_weights_for_sides(weights: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return (weights.sum() - quad) / 4.0
 
 
-def merge_vertices(inst: Instance, u: int, v: int) -> tuple[Instance, np.ndarray]:
-    """Contract u and v into one vertex; the internal weight w(u,v) is dropped.
+def contract(weights: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contract u and v in a weight matrix; the internal weight w(u,v) is dropped.
 
-    The merged vertex takes index min(u, v); vertices above max(u, v) shift
-    down by one.  Returns the new instance and the old->new index mapping.
+    The merged vertex takes index min(u, v); row and column max(u, v) are
+    removed, so vertices above it shift down by one.  Returns a new matrix
+    and the old->new index mapping; ``weights`` itself is not modified.
     """
+    n = weights.shape[0]
     if u == v:
         raise ParameterError("cannot merge a vertex with itself")
-    if not (0 <= u < inst.n and 0 <= v < inst.n):
+    if not (0 <= u < n and 0 <= v < n):
         raise ParameterError("merge endpoints out of range")
     a, b = min(u, v), max(u, v)
-    W = inst.weights.copy()
-    W[a, :] += W[b, :]
+    W = weights.copy()
+    W[a] += W[b]
     W[:, a] += W[:, b]
     W[a, a] = 0.0
-    keep = [i for i in range(inst.n) if i != b]
-    W2 = W[np.ix_(keep, keep)]
-    mapping = np.array([a if x in (u, v) else (x if x < b else x - 1) for x in range(inst.n)])
+    mapping = np.arange(n)
+    mapping[b:] -= 1
+    mapping[b] = a
+    return np.delete(np.delete(W, b, axis=0), b, axis=1), mapping
+
+
+def merge_vertices(inst: Instance, u: int, v: int) -> tuple[Instance, np.ndarray]:
+    """Instance form of ``contract``; the merged vertex's label is "a+b"."""
+    W, mapping = contract(inst.weights, u, v)
     labels = None
     if inst.labels is not None:
-        merged = f"{inst.labels[a]}+{inst.labels[b]}"
-        labels = [merged if i == a else inst.labels[i] for i in keep]
-    return Instance(W2, labels=labels), mapping
+        a, b = min(u, v), max(u, v)
+        labels = list(inst.labels)
+        labels[a] = f"{labels[a]}+{labels.pop(b)}"
+    return Instance(W, labels=labels), mapping
 
 
 def apply_perturbation(inst: Instance, factors) -> tuple[Instance, float]:

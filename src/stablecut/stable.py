@@ -4,7 +4,9 @@ All of them rest on the same principle: two vertices known to share a side
 of the maximum cut can be merged (weights added, the internal edge dropped)
 without changing the problem — the merged instance is just as stable and its
 maximum cut is the induced one.  So it is enough to repeatedly certify one
-same-side pair and contract until two vertices remain.
+same-side pair and contract until two vertices remain.  The merge loop does
+this on one weight matrix with ``instance.contract``: the pair finders take
+that matrix, and the input Instance is validated once per solve.
 
 The pair finders:
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, ParameterError, PreconditionError, SizeLimitError
-from .instance import Cut, Instance, cut_weight, merge_vertices
+from .instance import Cut, Instance, contract, cut_weight
 
 INF = math.inf
 
@@ -56,33 +58,28 @@ def _lex_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def find_same_side_pair_2n(inst: Instance) -> MergeWitness:
-    """Warm-up pair finder, correct on every 2n-stable instance.
+def find_same_side_pair_2n(W: np.ndarray) -> MergeWitness:
+    """Warm-up pair finder on a weight matrix, correct on every 2n-stable instance.
 
     Take v = 0 and its heaviest edge vu; then the heaviest edge e leaving
     {v, u}.  Both are cut edges under 2n-stability, and they share an
     endpoint, so the two outer endpoints lie on one side.  Argmax ties break
-    to the lexicographically smallest (min, max) edge.
+    to the lexicographically smallest (min, max) edge: every edge at 0
+    precedes every edge at u, so row 0 wins equal maxima.
     """
-    n = inst.n
+    n = W.shape[0]
     if n < 3:
         raise SizeLimitError("warm-up pair finder needs n >= 3")
-    W = inst.weights
-    v = 0
-    u = int(np.argmax(W[v]))
-    others = np.array([z for z in range(n) if z not in (v, u)])
-    candidates = [(_lex_edge(v, int(z)), float(W[v, z])) for z in others]
-    candidates += [(_lex_edge(u, int(z)), float(W[u, z])) for z in others]
-    best_w = max(w for _, w in candidates)
-    edge = min(e for e, w in candidates if w == best_w)
-    if v in edge:
-        z = edge[1] if edge[0] == v else edge[0]
-        pair = _lex_edge(u, z)
+    u = int(np.argmax(W[0]))
+    leaving = W[[0, u]]
+    leaving[:, [0, u]] = -INF
+    row, z = divmod(int(np.argmax(leaving)), n)
+    if row == 0:
+        edge, pair = (0, z), _lex_edge(u, z)
     else:
-        z = edge[1] if edge[0] == u else edge[0]
-        pair = _lex_edge(v, z)
+        edge, pair = _lex_edge(u, z), (0, z)
     return MergeWitness(kind="heavy-incident-pair", pair=pair,
-                        evidence={"first_edge": _lex_edge(v, u), "second_edge": edge})
+                        evidence={"first_edge": (0, u), "second_edge": edge})
 
 
 def sqrt_stability_threshold(n: int) -> float:
@@ -90,15 +87,17 @@ def sqrt_stability_threshold(n: int) -> float:
     return math.sqrt(8.0 * n + 4.0) + 1.0
 
 
-def find_same_side_pair_sqrt(inst: Instance, gamma: float) -> MergeWitness:
-    """Deterministic pair finder for gamma-stable instances, gamma > sqrt(8n+4)+1.
+def find_same_side_pair_sqrt(W: np.ndarray, gamma: float) -> MergeWitness:
+    """Deterministic pair finder on a weight matrix of a gamma-stable instance,
+    gamma > sqrt(8n+4)+1.
 
     Three stages, each certifying a same-side pair on stable input:
     1. T1 = directed pairs (v, u) with w(v, u) > mu(v)/(gamma+1).  T1 edges
-       are cut edges; two of them sharing an endpoint give a pair.
+       are cut edges; the first two (in lexicographic order) sharing an
+       endpoint give a pair.
     2. If T1 is a matching, T2 collects edges uv (not in T1) with
        w(u, v) > tau({u, z})/(gamma+1) for u's T1 partner z.  A T2 edge is a
-       cut edge, so v and z share a side.
+       cut edge, so v and z share a side (first T2 edge in row-major order).
     3. Otherwise zero out T1 edges (w-tilde), set w-hat(v) = tau({v, partner})
        for matched v else tau(v), and return any pair with
        n(u, v) = sum_z w-tilde(u, z) w-tilde(z, v) above
@@ -107,52 +106,43 @@ def find_same_side_pair_sqrt(inst: Instance, gamma: float) -> MergeWitness:
     Raises InvariantViolationError when no stage fires: on input actually
     satisfying the stability precondition this cannot happen.
     """
-    n = inst.n
+    n = W.shape[0]
     threshold = sqrt_stability_threshold(n)
     if not gamma > threshold:
         raise PreconditionError(
             f"gamma={gamma:g} must exceed sqrt(8n+4)+1 = {threshold:g} at n={n}")
-    W = inst.weights
     mu = W.sum(axis=1)
 
     heavy = W > mu[:, None] / (gamma + 1.0)
-    t1_edges = sorted({_lex_edge(int(i), int(j)) for i, j in np.argwhere(heavy)})
+    t1 = heavy | heavy.T
+    t1_edges = np.argwhere(np.triu(t1, 1))
     owner: dict[int, tuple[int, int]] = {}
-    for e in t1_edges:
-        for endpoint in e:
-            if endpoint in owner:
-                other = owner[endpoint]
-                a = e[0] if e[1] == endpoint else e[1]
-                b = other[0] if other[1] == endpoint else other[1]
-                return MergeWitness(kind="t1-incident-pair", pair=_lex_edge(a, b),
-                                    evidence={"edges": [other, e], "shared": endpoint})
-        owner[e[0]] = e
-        owner[e[1]] = e
+    for e in map(tuple, t1_edges.tolist()):
+        for shared, far in (e, e[::-1]):
+            if shared in owner:
+                other = owner[shared]
+                return MergeWitness(kind="t1-incident-pair",
+                                    pair=_lex_edge(far, sum(other) - shared),
+                                    evidence={"edges": [other, e], "shared": shared})
+        owner[e[0]] = owner[e[1]] = e
 
-    partner = {}
-    for a, b in t1_edges:
-        partner[a] = b
-        partner[b] = a
-    t1_set = set(t1_edges)
-    for u in range(n):
-        z = partner.get(u)
-        if z is None:
-            continue
-        tau_uz = mu[u] + mu[z] - 2.0 * W[u, z]
-        for v in range(n):
-            if v == u or _lex_edge(u, v) in t1_set:
-                continue
-            if W[u, v] > tau_uz / (gamma + 1.0):
-                return MergeWitness(kind="t2-pair", pair=_lex_edge(v, z),
-                                    evidence={"t2_edge": _lex_edge(u, v),
-                                              "t1_edge": _lex_edge(u, z),
-                                              "tau_pair": float(tau_uz)})
+    # T1 is a matching from here on; an unmatched vertex has partner -1, and
+    # np.where drops the tau term read through that index
+    partner = np.full(n, -1)
+    partner[t1_edges[:, 0]], partner[t1_edges[:, 1]] = t1_edges[:, 1], t1_edges[:, 0]
+    matched = partner >= 0
+    w_hat = np.where(matched, mu + mu[partner] - 2.0 * W[np.arange(n), partner], mu)
+    t2 = (W > w_hat[:, None] / (gamma + 1.0)) & ~t1 & matched[:, None]
+    np.fill_diagonal(t2, False)
+    if t2.any():
+        u, v = np.argwhere(t2)[0].tolist()
+        z = int(partner[u])
+        return MergeWitness(kind="t2-pair", pair=_lex_edge(v, z),
+                            evidence={"t2_edge": _lex_edge(u, v),
+                                      "t1_edge": _lex_edge(u, z),
+                                      "tau_pair": float(w_hat[u])})
 
-    W_t = W.copy()
-    for a, b in t1_edges:
-        W_t[a, b] = W_t[b, a] = 0.0
-    w_hat = np.array([mu[v] + mu[partner[v]] - 2.0 * W[v, partner[v]]
-                      if v in partner else mu[v] for v in range(n)])
+    W_t = np.where(t1, 0.0, W)
     common = W_t @ W_t
     limits = 2.0 / (gamma + 1.0) ** 2 * np.outer(w_hat, w_hat)
     hits = np.triu(common > limits, k=1)
@@ -166,19 +156,13 @@ def find_same_side_pair_sqrt(inst: Instance, gamma: float) -> MergeWitness:
 
 
 def _merge_down(inst: Instance, pick) -> Cut:
-    """Contract certified pairs until two vertices remain, then unfold."""
-    groups = [[i] for i in range(inst.n)]
-    cur = inst
-    while cur.n > 2:
-        witness = pick(cur)
-        cur, mapping = merge_vertices(cur, *witness.pair)
-        regrouped = [[] for _ in range(cur.n)]
-        for old, members in enumerate(groups):
-            regrouped[mapping[old]].extend(members)
-        groups = regrouped
-    side = np.zeros(inst.n, dtype=bool)
-    side[groups[0]] = True
-    return Cut(side)
+    """Contract the certified pair ``pick(W)`` of one weight matrix until two
+    vertices remain; ``where`` tracks each original vertex's current index."""
+    W, where = inst.weights, np.arange(inst.n)
+    while W.shape[0] > 2:
+        W, mapping = contract(W, *pick(W).pair)
+        where = mapping[where]
+    return Cut(where == 0)
 
 
 def warmup_2n_solve(inst: Instance) -> Cut:
@@ -187,8 +171,6 @@ def warmup_2n_solve(inst: Instance) -> Cut:
     Merging preserves the stability level while n shrinks, so 2n-stability
     of the input covers every round.
     """
-    if inst.n == 2:
-        return Cut([True, False])
     return _merge_down(inst, find_same_side_pair_2n)
 
 
@@ -201,14 +183,12 @@ def sqrt_stable_solve(inst: Instance, gamma: float | str = "auto") -> Cut:
     exceeds the initial threshold: merging never lowers stability and the
     pair tests only get more conservative as the gamma parameter drops.
     """
-    if inst.n == 2:
-        return Cut([True, False])
     if gamma == "auto":
         return _merge_down(
-            inst, lambda cur: find_same_side_pair_sqrt(
-                cur, sqrt_stability_threshold(cur.n) + 1e-6))
+            inst, lambda W: find_same_side_pair_sqrt(
+                W, sqrt_stability_threshold(W.shape[0]) + 1e-6))
     g = float(gamma)
-    return _merge_down(inst, lambda cur: find_same_side_pair_sqrt(cur, g))
+    return _merge_down(inst, lambda W: find_same_side_pair_sqrt(W, g))
 
 
 def spanning_tree_success_bound(gamma: float, n: int) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +237,14 @@ def test_bench_gw_gap(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_below_1e-6"] is True and doc["converged"] > 0
+
+
+def test_python_m_stablecut_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out_path = str(tmp_path / "tight.json")
+    done = subprocess.run([sys.executable, "-m", "stablecut", "gen", "tightness", "--pairs", "2",
+                           "--seed", "0", "-o", out_path],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["n"] == sc.load_instance(out_path).n == 8

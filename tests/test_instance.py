@@ -147,8 +147,20 @@ def test_merge_vertices_examples(c4, k3):
     assert merged.weights[1, 2] == 0.0
     assert list(mapping) == [0, 1, 0, 2]
 
+    swapped, swapped_mapping = sc.merge_vertices(c4, 2, 0)
+    assert np.array_equal(swapped.weights, merged.weights)
+    assert np.array_equal(swapped_mapping, mapping)
+
+    labelled = sc.Instance(c4.weights, labels=["a", "b", "c", "d"])
+    merged, _ = sc.merge_vertices(labelled, 2, 0)
+    assert merged.labels == ("a+c", "b", "d")
+    assert sc.merge_vertices(c4, 0, 2)[0].labels is None
+
     with pytest.raises(ParameterError):
         sc.merge_vertices(k3, 1, 1)
+    for u, v in ((0, 3), (-1, 1), (1, -1)):
+        with pytest.raises(ParameterError):
+            sc.merge_vertices(k3, u, v)
 
 
 def test_merge_preserves_lifted_cut_weights():
