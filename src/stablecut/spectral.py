@@ -69,13 +69,19 @@ class SpectralBundle:
     kernel_vector: np.ndarray | None
 
 
-def build_spectral_bundle(inst: Instance, cut: Cut) -> SpectralBundle:
+def _cut_part(inst: Instance, cut: Cut) -> np.ndarray:
+    """W restricted to the edges the cut separates (zero elsewhere)."""
     if cut.n != inst.n:
         raise ParameterError("cut size mismatch")
-    W = inst.weights
     delta = cut.delta
     separated = delta[:, None] * delta[None, :] < 0
-    cut_part = W * separated
+    return inst.weights * separated
+
+
+def build_spectral_bundle(inst: Instance, cut: Cut) -> SpectralBundle:
+    cut_part = _cut_part(inst, cut)
+    W = inst.weights
+    delta = cut.delta
     uncut_part = W - cut_part
     d_cut = cut_part.sum(axis=1)
     d_uncut = uncut_part.sum(axis=1)
@@ -140,10 +146,10 @@ def spectral_threshold(x: float) -> float:
 
 def distinguished_condition(inst: Instance, cut: Cut, max_n: int = 24) -> DistinguishedReport:
     """Measure gamma_local, alpha and h(cut edges); report threshold satisfaction."""
-    bundle = build_spectral_bundle(inst, cut)
+    cut_part = _cut_part(inst, cut)
     gamma_local = local_stability_gamma(inst, cut)
     alpha = distinction_alpha(inst, cut, max_n=max_n)
-    _, _, h_cut = subset_scan_minima(bundle.cut_part, None, max_n=max_n)
+    _, _, h_cut = subset_scan_minima(cut_part, None, max_n=max_n)
     thr_a = spectral_threshold(alpha)
     thr_h = spectral_threshold(h_cut)
     return DistinguishedReport(
@@ -245,9 +251,10 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     with the other rows fixed (rows with a vanishing update direction keep
     their current value: any unit vector is stationary there).  Stops when
     the objective change per sweep drops below ``tol`` relative, or after
-    ``max_sweeps``; the result then carries converged=False.  Global
-    optimality is certified a posteriori through the dual residuals, not by
-    the iteration itself.
+    ``max_sweeps``; the result then carries converged=False.  The objective
+    is evaluated once per sweep, as one GEMM and a dot, and only decides
+    when to stop: the rows never read it.  Global optimality is certified
+    a posteriori through the dual residuals, not by the iteration itself.
     """
     n = inst.n
     r = n if rank is None else rank
@@ -258,16 +265,17 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     V = rng.normal(size=(n, r))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     stall = 1e-13 * max(1.0, float(W.max()))
-    prev = float(np.einsum("ij,jk,ik->", W, V, V))
+    rows = list(zip(W, V))  # views: writing v updates V in place
+    prev = float(np.vdot(W @ V, V))
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for i in range(n):
-            g = W[i] @ V
-            norm = np.linalg.norm(g)
+        for w, v in rows:
+            g = w @ V
+            norm = math.sqrt(g.dot(g))  # np.linalg.norm of a real vector, without its wrapper
             if norm > stall:
-                V[i] = -g / norm
-        value = float(np.einsum("ij,jk,ik->", W, V, V))
+                v[:] = g / -norm
+        value = float(np.vdot(W @ V, V))
         if abs(value - prev) <= tol * (1.0 + abs(value)):
             converged = True
             prev = value

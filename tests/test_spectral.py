@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stablecut as sc
+from stablecut.acceptance import gw_pool
 from stablecut.errors import ParameterError, PreconditionError
 from stablecut.spectral import binary_shift, eig_zero_tol, spectral_threshold, weight_scale
 
@@ -146,6 +147,66 @@ def test_primal_deterministic_per_seed(c4):
     a = sc.gw_primal_solve(c4, seed=3)
     b = sc.gw_primal_solve(c4, seed=3)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def _reference_primal(inst, rank=None, max_sweeps=100_000, tol=1e-10, seed=0):
+    """The row-by-row loop gw_primal_solve replaced: an einsum objective,
+    np.linalg.norm and V[i] = -g / norm.  Kept to pin the fast loop's iterates."""
+    n = inst.n
+    r = n if rank is None else rank
+    W = inst.weights
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(n, r))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    stall = 1e-13 * max(1.0, float(W.max()))
+    prev = float(np.einsum("ij,jk,ik->", W, V, V))
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        for i in range(n):
+            g = W[i] @ V
+            norm = np.linalg.norm(g)
+            if norm > stall:
+                V[i] = -g / norm
+        value = float(np.einsum("ij,jk,ik->", W, V, V))
+        if abs(value - prev) <= tol * (1.0 + abs(value)):
+            converged = True
+            prev = value
+            break
+        prev = value
+    return V, V @ V.T, prev, converged, sweeps
+
+
+def test_primal_iterates_match_reference_loop():
+    runs = [(inst, {"seed": 2 * pool_seed + s})
+            for pool_seed in (0, 7) for inst in gw_pool(pool_seed, 60)
+            for s in (0, 1)]
+    runs += [(sc.gen_infinite_stable_not_distinguished(k, 1e-3).instance, {"seed": k})
+             for k in (4, 6, 8)]
+    noise = sc.gen_stable_bipartite_noise(64, 8.0, 3).instance
+    runs += [(noise, {"seed": 1}), (noise, {"seed": 2, "rank": 2}),
+             (noise, {"seed": 3, "rank": 3}), (noise, {"seed": 4, "max_sweeps": 3})]
+    snd = sc.gen_infinite_stable_not_distinguished(6, 1e-3).instance
+    runs += [(snd, {"seed": 5, "rank": 2}), (snd, {"seed": 6, "rank": 3})]
+
+    sols = []
+    seen = set()
+    for inst, kw in runs:
+        key = (inst.weights.tobytes(), tuple(sorted(kw.items())))
+        if key in seen:  # gw_pool repeats its deterministic families
+            continue
+        seen.add(key)
+        sol = sc.gw_primal_solve(inst, **kw)
+        V, gram, value, converged, sweeps = _reference_primal(inst, **kw)
+        assert sol.vectors.tobytes() == V.tobytes()
+        assert sol.gram.tobytes() == gram.tobytes()
+        assert (sol.sweeps, sol.converged) == (sweeps, converged)
+        assert abs(sol.primal_value - value) <= 1e-13 * max(1.0, abs(value))
+        sols.append(sol)
+    # the pool reaches both ends: long solves and a truncated one
+    assert max(sol.sweeps for sol in sols) >= 300
+    truncated = sols[-3]
+    assert truncated.sweeps == 3 and not truncated.converged
 
 
 def test_dual_extraction_exact_grams(c4, k3, c4_maxcut):
