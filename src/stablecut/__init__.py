@@ -21,7 +21,6 @@ from .instance import (
     is_metric,
     load_cut,
     load_instance,
-    merge_vertices,
     same_bipartition,
     save_cut,
     save_instance,

@@ -99,9 +99,9 @@ def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _family_pool(family: str, count: int, seed: int, max_n: int):
-    """Deterministic stream of (instance, planted-cut-or-None) for one family."""
-    sizes = [n for n in (6, 8, 10, 12, 14) if n <= max_n]
+def _family_pool(family: str, count: int, seed: int):
+    """Deterministic stream of (instance, planted-cut-or-None) for one family, n <= 14."""
+    sizes = (6, 8, 10, 12, 14)
     out = []
     for i in range(count):
         s = seed * 1_000_003 + i
@@ -116,11 +116,11 @@ def _family_pool(family: str, count: int, seed: int, max_n: int):
             planted = gen_stable_bipartite_noise(n, g, s)
             out.append((planted.instance, planted.planted_cut))
         elif family == "matching-eps":
-            pairs = 2 + i % (max_n // 2 - 1)
+            pairs = 2 + i % 6
             eps = [1e-3, 0.1, 0.5][i % 3]
             out.append((gen_matching_epsilon(pairs, eps), None))
         elif family == "tightness":
-            pairs = 2 + i % (max_n // 4 - 1) if max_n >= 12 else 2
+            pairs = 2 + i % 2
             planted = gen_tightness_example(pairs)
             out.append((planted.instance, planted.planted_cut))
         elif family == "euclidean":
@@ -143,13 +143,14 @@ FAMILIES = ("planted-partition", "stable-bipartite-noise", "matching-eps",
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(seed: int = DEFAULT_SEED, per_family: int = 200) -> CriterionResult:
+def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Oracle invariants on every generated family at n <= 14 within 5 minutes."""
+    per_family = 200
     t0 = time.perf_counter()
     checked = 0
     failures = []
     for fi, family in enumerate(FAMILIES):
-        for inst, _ in _family_pool(family, per_family, seed + fi, max_n=14):
+        for inst, _ in _family_pool(family, per_family, seed + fi):
             cut, _, count = brute_force_maxcut(inst)
             gamma_raw, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
             gamma_local = local_stability_gamma(inst, cut)
@@ -177,8 +178,9 @@ def criterion_1(seed: int = DEFAULT_SEED, per_family: int = 200) -> CriterionRes
 # ---------------------------------------------------------------------------
 
 
-def criterion_2(seed: int = DEFAULT_SEED, trials: int = 1000, solver_seeds: int = 50) -> CriterionResult:
+def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Per-vertex misclassification frequency against the union bound; recovery rate."""
+    trials, solver_seeds = 1000, 50
     details: dict = {}
     ok = True
     pools = {
@@ -234,8 +236,9 @@ def criterion_2(seed: int = DEFAULT_SEED, trials: int = 1000, solver_seeds: int 
 # ---------------------------------------------------------------------------
 
 
-def criterion_3(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
+def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Weight/local-stability preservation and density of the split instance."""
+    count = 100
     instances = []
     i = 0
     while len(instances) < count - 2:
@@ -256,7 +259,7 @@ def criterion_3(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
         ok = ok and bool((tau_split >= 1.0 - REL_TOL).all())
         bound = 4.0 / (1.0 - 1.0 / n) ** 2
         ok = ok and density_coefficient(smap.split) <= bound * (1.0 + REL_TOL)
-        for sides in cut_sides(n, max_n=24):
+        for sides in cut_sides(n):
             lifted = sides[smap.pi]
             w_orig = cut_weights_for_sides(normalized.weights, sides)
             w_split = cut_weights_for_sides(smap.split.weights, lifted)
@@ -293,8 +296,9 @@ def _ball_pool(seed: int, count: int):
     return pool
 
 
-def criterion_4(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
+def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     """One side of the optimum is a ball above local stability 3; tight below."""
+    count = 100
     pool = _ball_pool(seed, count)
     ok = len(pool) == count
     for inst, cut, w, _ in pool:
@@ -321,8 +325,9 @@ def criterion_4(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
                             "tightness_ball_weight": t_ball_w, "tightness_opt": t_w})
 
 
-def criterion_5(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
+def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Cut-edge lower bound holds at the measured local stability."""
+    count = 100
     pool = _ball_pool(seed, count)
     ok = len(pool) == count
     worst = INF
@@ -339,8 +344,9 @@ def criterion_5(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
+def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """sqrt-threshold solver and warm-up solver match the oracle on verified instances."""
+    count = 100
     sqrt_hits = warm_hits = 0
     sqrt_total = warm_total = 0
     i = 0
@@ -379,8 +385,9 @@ def criterion_6(seed: int = DEFAULT_SEED, count: int = 100) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_7(seed: int = DEFAULT_SEED, trials: int = 2000) -> CriterionResult:
+def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Per-repetition success rate matches the (gamma/(gamma+1))^(n-1) bound."""
+    trials = 2000
     n = 12
     cases = {
         "gamma=10": gen_stable_bipartite_noise(n, 10.0, seed + 1),
@@ -431,10 +438,10 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     qualified = 0
     ok = True
     for inst in _certificate_pool(seed):
-        cut, _, _ = brute_force_maxcut(inst, max_n=16)
+        cut, _, _ = brute_force_maxcut(inst)
         bundle = build_spectral_bundle(inst, cut)
         gl = local_stability_gamma(inst, cut)
-        _, _, h_cut = subset_scan_minima(bundle.cut_part, None, max_n=16)
+        _, _, h_cut = subset_scan_minima(bundle.cut_part, None)
         threshold = spectral_threshold(h_cut)
         if gl > threshold * (1.0 + 1e-6):
             qualified += 1
@@ -514,7 +521,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
         if agreement_checked == 200:
             break
         idx += 1
-        cut, _, cnt = brute_force_maxcut(inst, max_n=16)
+        cut, _, cnt = brute_force_maxcut(inst)
         if cnt != 1:
             continue
         agreement_checked += 1
@@ -570,8 +577,9 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_10(seed: int = DEFAULT_SEED, count: int = 50) -> CriterionResult:
+def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Counts stay inside a polynomial envelope on dense instances; contrast case."""
+    count = 50
     ok = True
     max_ratio = 0.0
     for i in range(count):

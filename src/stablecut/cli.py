@@ -10,6 +10,7 @@ byte-identical output (wall-clock timing is only included with --timing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,14 +32,15 @@ from .generators import (
 from .instance import (
     cut_to_json,
     cut_weight,
-    instance_to_json,
     load_cut,
     load_instance,
     same_bipartition,
     save_cut,
+    save_instance,
 )
 from .metric import ball_enumeration_solve, metric_dense_solve, normalize_total_weight, split_instance
 from .oracle import (
+    SCAN_MAX_N,
     brute_force_maxcut,
     cut_stability_gamma,
     local_stability_gamma,
@@ -48,10 +50,19 @@ from .spectral import (
     bipolarity_check,
     build_spectral_bundle,
     distinguished_condition,
+    gw_dual_extract,
+    gw_primal_solve,
     gw_solve,
     psd_rank_certificate,
+    weight_scale,
 )
-from .stable import default_tree_repetitions, spanning_tree_solve, sqrt_stable_solve, warmup_2n_solve
+from .stable import (
+    default_tree_repetitions,
+    spanning_tree_solve,
+    sqrt_stability_threshold,
+    sqrt_stable_solve,
+    warmup_2n_solve,
+)
 
 
 def _jsonable(value):
@@ -106,9 +117,7 @@ def _cmd_gen(args) -> int:
         raise StableCutError(f"unknown family {fam}")
     if planted is not None:
         inst = planted.instance
-    with open(args.output, "w") as fh:
-        json.dump(instance_to_json(inst), fh)
-        fh.write("\n")
+    save_instance(inst, args.output)
     sidecar_path = args.sidecar or args.output + ".planted.json"
     summary = {"family": fam, "n": inst.n, "output": args.output}
     if planted is not None:
@@ -203,7 +212,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     given = load_cut(args.cut) if args.cut else None
-    opt, _, count = brute_force_maxcut(inst, max_n=24)
+    opt, _, count = brute_force_maxcut(inst, max_n=SCAN_MAX_N)  # fail before a wasted scan
     cut = opt if given is None else given
     weight = cut_weight(inst, cut)  # also rejects a cut of the wrong size
     gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
@@ -222,8 +231,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if not args.spectral:
-        raise StableCutError("only --spectral certification is available")
     inst = load_instance(args.instance)
     cut = load_cut(args.cut)
     bundle = build_spectral_bundle(inst, cut)
@@ -252,9 +259,7 @@ def _cmd_split(args) -> int:
     inst = load_instance(args.instance)
     normalized, scale = normalize_total_weight(inst)
     smap = split_instance(normalized)
-    with open(args.output, "w") as fh:
-        json.dump(instance_to_json(smap.split), fh)
-        fh.write("\n")
+    save_instance(smap.split, args.output)
     if args.map:
         with open(args.map, "w") as fh:
             json.dump(_jsonable({"scale": scale,
@@ -283,8 +288,6 @@ def _bench_acceptance(seed: int) -> dict:
 
 
 def _bench_stability_sweep(seed: int) -> dict:
-    from .stable import sqrt_stability_threshold
-
     rows = []
     n = 12
     for gamma_target in (2.0, 4.0, 8.0, 16.0, 32.0):
@@ -318,8 +321,6 @@ def _bench_stability_sweep(seed: int) -> dict:
 
 
 def _bench_gw_gap(seed: int) -> dict:
-    from .spectral import gw_dual_extract, gw_primal_solve, weight_scale
-
     pool = acceptance.gw_pool(seed, 60)
     worst = 0.0
     converged = 0
@@ -353,6 +354,7 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stablecut",
                                      description="MAXCUT solvers and certificates "

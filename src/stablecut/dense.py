@@ -24,6 +24,8 @@ from .instance import Cut, Instance, cut_weights_for_sides
 
 _SCORE_CHUNK = 1 << 14
 
+ENUMERATION_CAP = 22  # largest m of enumerate mode: 2^22 partitions
+
 
 def sample_size(C: float, eps: float, n: int) -> int:
     """Sample size sufficient for the failure union bound: ceil(2*(C*(2+eps)/eps)^2 * ln(2n))."""
@@ -54,9 +56,9 @@ class DenseSolverConfig:
     """Configuration for ``dense_solve``.
 
     m defaults to ``sample_size(C, eps, n)`` when not given.  Modes:
-    "enumerate" tries all 2^m sample bipartitions (m capped), "seeded" uses
-    the sample's true sides from ``seed_cut`` (test harnesses), "random"
-    tries k uniformly drawn bipartitions.
+    "enumerate" tries all 2^m sample bipartitions (m <= ENUMERATION_CAP),
+    "seeded" uses the sample's true sides from ``seed_cut`` (test harnesses),
+    "random" tries k uniformly drawn bipartitions.
     """
 
     eps: float | None = None
@@ -66,7 +68,6 @@ class DenseSolverConfig:
     k: int | None = None
     seed: int = 0
     seed_cut: Cut | None = None
-    enumeration_cap: int = 22
 
     def __post_init__(self):
         if self.mode not in ("enumerate", "seeded", "random"):
@@ -95,13 +96,12 @@ def _partition_chunks(cfg: DenseSolverConfig, samples: np.ndarray,
                       sample_sides: np.ndarray | None):
     """Yield boolean (k, m) partition blocks; True marks a sample assigned to R.
 
-    Enumeration is chunked so the cap (2^22 partitions) stays within memory.
+    Enumeration is chunked so that 2^ENUMERATION_CAP partitions stay within memory.
     """
     m = samples.size
     if cfg.mode == "enumerate":
-        if m > cfg.enumeration_cap:
-            raise ParameterError(
-                f"enumerate mode caps m at {cfg.enumeration_cap}, got {m}")
+        if m > ENUMERATION_CAP:
+            raise ParameterError(f"enumerate mode caps m at {ENUMERATION_CAP}, got {m}")
         shifts = np.arange(m, dtype=np.uint64)
         for lo in range(0, 1 << m, _SCORE_CHUNK):
             ks = np.arange(lo, min(lo + _SCORE_CHUNK, 1 << m), dtype=np.uint64)

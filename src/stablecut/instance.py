@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,33 +50,31 @@ class Instance:
     Attributes:
         n: vertex count (>= 2).
         weights: read-only (n, n) float64 array; symmetric, nonnegative,
-            zero diagonal, connected support.
-        labels: optional per-vertex metadata, not used by any algorithm.
+            zero diagonal, connected support, total weight finite in float64.
     """
 
-    __slots__ = ("n", "weights", "labels")
+    __slots__ = ("n", "weights")
 
-    def __init__(self, weights, labels: Sequence[str] | None = None):
+    def __init__(self, weights):
         W = np.array(weights, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise InvalidInstanceError(f"weights must be square, got shape {W.shape}")
         n = W.shape[0]
         if n < 2:
             raise InvalidInstanceError("an instance needs at least 2 vertices")
-        if (W < 0.0).any() or not np.isfinite(W).all():
-            raise InvalidInstanceError("weights must be finite and nonnegative")
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN, +-inf, or a sum that overflows
+            finite = np.isfinite(W.sum())
+        if (W < 0.0).any() or not finite:
+            raise InvalidInstanceError("weights must be finite and nonnegative, with a finite total")
         if not np.array_equal(W, W.T):
             raise InvalidInstanceError("weights must be exactly symmetric")
         if np.diagonal(W).any():
             raise InvalidInstanceError("diagonal weights must be zero")
         if not support_connected(W):
             raise InvalidInstanceError("positive-weight support graph must be connected")
-        if labels is not None and len(labels) != n:
-            raise InvalidInstanceError("labels length must equal the vertex count")
         W.flags.writeable = False
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")
@@ -247,17 +244,6 @@ def contract(weights: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarra
     return np.delete(np.delete(W, b, axis=0), b, axis=1), mapping
 
 
-def merge_vertices(inst: Instance, u: int, v: int) -> tuple[Instance, np.ndarray]:
-    """Instance form of ``contract``; the merged vertex's label is "a+b"."""
-    W, mapping = contract(inst.weights, u, v)
-    labels = None
-    if inst.labels is not None:
-        a, b = min(u, v), max(u, v)
-        labels = list(inst.labels)
-        labels[a] = f"{labels[a]}+{labels.pop(b)}"
-    return Instance(W, labels=labels), mapping
-
-
 def apply_perturbation(inst: Instance, factors) -> tuple[Instance, float]:
     """Multiply weights entrywise by factors >= 1.
 
@@ -275,7 +261,7 @@ def apply_perturbation(inst: Instance, factors) -> tuple[Instance, float]:
     np.fill_diagonal(W2, 0.0)
     support = inst.weights > 0.0
     gamma = float(F[support].max()) if support.any() else 1.0
-    return Instance(W2, labels=inst.labels), gamma
+    return Instance(W2), gamma
 
 
 def density_coefficient(inst: Instance) -> float:

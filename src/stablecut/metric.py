@@ -50,7 +50,7 @@ def normalize_total_weight(inst: Instance) -> tuple[Instance, float]:
     if total <= 0.0:
         raise DegenerateInstanceError("total weight must be positive")
     scale = 2.0 * inst.n ** 2 / total
-    return Instance(inst.weights * scale, labels=inst.labels), scale
+    return Instance(inst.weights * scale), scale
 
 
 def _fibers(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

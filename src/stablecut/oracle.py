@@ -14,9 +14,9 @@ quadratic form chi^T M chi adds the cross term (2 X_hi M_hl) X_lo^T, one
 small GEMM per chunk of high patterns.  A scan therefore costs O(n 2^n)
 rather than the O(n^2 2^n) of forming W @ sides.  The layout also owns the
 chunk boundaries (up to 2^14 masks each), the excluded all-ones mask and the
-size caps (n <= 24 for subset scans, n <= 28 for the max-cut scan), and it
-reads side vectors, such as the blocks ``cut_sides`` yields, off cached bit
-tables.
+size caps (``SCAN_MAX_N`` for subset scans and enumeration, ``MAXCUT_MAX_N``
+for the max-cut scan), and it reads side vectors, such as the blocks
+``cut_sides`` yields, off cached bit tables.
 
 On top of it sit one per-vertex xi/iota helper for single cuts and blocks,
 and one 0/0 -> +inf ratio rule.  The maximum cut is found in a single pass
@@ -37,6 +37,9 @@ from .instance import Cut, Instance, REL_TOL, ZERO_FRACTION, cut_weight
 INF = math.inf
 
 _CHUNK = 1 << 14  # masks per chunk of a scan
+
+SCAN_MAX_N = 24  # largest n of a subset scan, a cut enumeration or cut_sides
+MAXCUT_MAX_N = 28  # largest n of brute_force_maxcut by default
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,13 +112,13 @@ class _Scan:
         return sides
 
 
-def cut_sides(n: int, max_n: int):
+def cut_sides(n: int):
     """Yield (n, k) boolean blocks of every side vector with side[0] True but S != V.
 
     Blocks come in lexicographic order (bit n-1-i of the running mask holds
-    side[i]).  Raises SizeLimitError when n > max_n.
+    side[i]).  Raises SizeLimitError when n > SCAN_MAX_N.
     """
-    scan = _Scan(n, max_n)
+    scan = _Scan(n, SCAN_MAX_N)
     for first, _, size in scan.chunks():
         yield scan.sides(np.arange(first, first + size))
 
@@ -125,13 +128,13 @@ def _ratio_or_inf(num: np.ndarray, den: np.ndarray, zero: float) -> np.ndarray:
     return np.where(den > zero, num / np.where(den > zero, den, 1.0), INF)
 
 
-def brute_force_maxcut(inst: Instance, max_n: int = 28) -> tuple[Cut, float, int]:
+def brute_force_maxcut(inst: Instance, max_n: int = MAXCUT_MAX_N) -> tuple[Cut, float, int]:
     """Exhaustive maximum cut.
 
     Returns one optimal cut (the lexicographically smallest side vector with
     vertex 0 in S), its weight, and the number of distinct optimal cuts (a
     cut and its complement count once).  Optima are counted up to relative
-    tolerance 1e-9.
+    tolerance 1e-9.  Raises SizeLimitError when n > max_n.
     """
     W = inst.weights
     scan = _Scan(inst.n, max_n)
@@ -155,9 +158,7 @@ def brute_force_maxcut(inst: Instance, max_n: int = 28) -> tuple[Cut, float, int
     return cut, cut_weight(inst, cut), sum(count for _, count in optima)
 
 
-def subset_scan_minima(
-    W: np.ndarray, delta: np.ndarray | None = None, max_n: int = 24
-) -> tuple[float, float, float]:
+def subset_scan_minima(W: np.ndarray, delta: np.ndarray | None = None) -> tuple[float, float, float]:
     """Scan all nonempty proper subsets of a weight matrix.
 
     Returns (gamma, alpha, cheeger): the minima of xi(A)/iota(A),
@@ -165,7 +166,7 @@ def subset_scan_minima(
     When ``delta`` is None only the Cheeger minimum is meaningful and the
     first two come back as +inf.  0/0 ratios are +inf by convention.
     """
-    scan = _Scan(W.shape[0], max_n)
+    scan = _Scan(W.shape[0], SCAN_MAX_N)
     mu = W.sum(axis=1)
     total_mu = float(mu.sum())
     zero = ZERO_FRACTION * max(total_mu, 1e-300)
@@ -209,14 +210,14 @@ def local_gammas(W: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return _ratio_or_inf(xi, iota, zero).min(axis=0)
 
 
-def cut_stability_gamma(inst: Instance, cut: Cut, max_n: int = 24) -> float:
+def cut_stability_gamma(inst: Instance, cut: Cut) -> float:
     """min over nonempty proper subsets A of xi(A)/iota(A); +inf terms for iota(A)=0.
 
     The cut is gamma-stable exactly for gamma up to this value.
     """
     if cut.n != inst.n:
         raise ParameterError("cut size mismatch")
-    gamma, _, _ = subset_scan_minima(inst.weights, cut.delta, max_n=max_n)
+    gamma, _, _ = subset_scan_minima(inst.weights, cut.delta)
     return gamma
 
 
@@ -227,26 +228,26 @@ def local_stability_gamma(inst: Instance, cut: Cut) -> float:
     return float(local_gammas(inst.weights, cut.side))
 
 
-def distinction_alpha(inst: Instance, cut: Cut, max_n: int = 24) -> float:
+def distinction_alpha(inst: Instance, cut: Cut) -> float:
     """min over subsets of (xi(A)-iota(A)) / min(mu(A), mu(A-bar))."""
     if cut.n != inst.n:
         raise ParameterError("cut size mismatch")
-    _, alpha, _ = subset_scan_minima(inst.weights, cut.delta, max_n=max_n)
+    _, alpha, _ = subset_scan_minima(inst.weights, cut.delta)
     return alpha
 
 
-def cheeger_constant(inst: Instance, max_n: int = 24) -> float:
+def cheeger_constant(inst: Instance) -> float:
     """Exact Cheeger constant min_A tau(A) / min(mu(A), mu(A-bar))."""
-    _, _, h = subset_scan_minima(inst.weights, None, max_n=max_n)
+    _, _, h = subset_scan_minima(inst.weights, None)
     return h
 
 
-def enumerate_locally_stable_cuts(inst: Instance, gamma: float, max_n: int = 24) -> list[Cut]:
+def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
     """All cuts (up to complement) with xi(x) >= gamma * iota(x) at every vertex."""
     if gamma < 1.0:
         raise ParameterError("gamma must be >= 1")
     W = inst.weights
-    scan = _Scan(inst.n, max_n)
+    scan = _Scan(inst.n, SCAN_MAX_N)
     mu = W.sum(axis=1)
     zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
     to_s_hi, to_s_lo, _ = scan.linear(W)  # (W chi)[x] = to_s_hi[x, a] + to_s_lo[x, b]
@@ -286,10 +287,11 @@ class StabilityReport:
     is_unique_maxcut: bool
 
 
-def instance_stability(inst: Instance, max_n: int = 24) -> StabilityReport:
+def instance_stability(inst: Instance) -> StabilityReport:
     """Full report at the brute-force optimal cut."""
-    cut, _, count = brute_force_maxcut(inst, max_n=max_n)
-    gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta, max_n=max_n)
+    # the subset scan caps at SCAN_MAX_N, so a larger n fails before the max-cut scan
+    cut, _, count = brute_force_maxcut(inst, max_n=SCAN_MAX_N)
+    gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
     unique = count == 1
     return StabilityReport(
         gamma=gamma if unique else 1.0,

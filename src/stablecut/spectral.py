@@ -144,12 +144,12 @@ def spectral_threshold(x: float) -> float:
     return 2.0 * (1.0 + math.sqrt(1.0 - x2)) / x2
 
 
-def distinguished_condition(inst: Instance, cut: Cut, max_n: int = 24) -> DistinguishedReport:
+def distinguished_condition(inst: Instance, cut: Cut) -> DistinguishedReport:
     """Measure gamma_local, alpha and h(cut edges); report threshold satisfaction."""
     cut_part = _cut_part(inst, cut)
     gamma_local = local_stability_gamma(inst, cut)
-    alpha = distinction_alpha(inst, cut, max_n=max_n)
-    _, _, h_cut = subset_scan_minima(cut_part, None, max_n=max_n)
+    alpha = distinction_alpha(inst, cut)
+    _, _, h_cut = subset_scan_minima(cut_part, None)
     thr_a = spectral_threshold(alpha)
     thr_h = spectral_threshold(h_cut)
     return DistinguishedReport(
@@ -217,7 +217,7 @@ def glev_scaling_perturbation(inst: Instance, v) -> Instance:
     if (v == 0.0).any():
         raise ParameterError("v must have no zero coordinates")
     a = np.abs(v)
-    return Instance(inst.weights * np.outer(a, a), labels=inst.labels)
+    return Instance(inst.weights * np.outer(a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +335,8 @@ def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 3
     """Round solved vectors through uniformly random hyperplanes.
 
     Each trial samples a direction v and takes S = {i : <v, v_i> > 0}; the
-    heaviest valid cut over all trials wins.  An exactly zero projection is
-    resampled; trials whose sign pattern is one-sided yield no candidate.
+    heaviest valid cut over all trials wins; trials whose sign pattern is
+    one-sided (an exactly zero projection among them) yield no candidate.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -346,10 +346,7 @@ def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 3
     rng = np.random.default_rng(seed)
     best: GwRounding | None = None
     for _ in range(trials):
-        for _ in range(64):
-            u = V @ rng.normal(size=V.shape[1])
-            if np.abs(u).max() > 0.0:
-                break
+        u = V @ rng.normal(size=V.shape[1])
         side = u > 0.0
         if side.all() or not side.any():
             continue
@@ -362,10 +359,9 @@ def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 3
     return best
 
 
-def gw_solve(inst: Instance, seed: int = 0, trials: int = 32, rank: int | None = None,
-             max_sweeps: int = 100_000, tol: float = 1e-10) -> GwSolution:
+def gw_solve(inst: Instance, seed: int = 0, trials: int = 32) -> GwSolution:
     """Primal solve + dual extraction + hyperplane rounding in one call."""
-    sol = gw_primal_solve(inst, rank=rank, max_sweeps=max_sweeps, tol=tol, seed=seed)
+    sol = gw_primal_solve(inst, seed=seed)
     ext = gw_dual_extract(inst, sol.gram)
     sol.dual_diag = ext.diag_values
     sol.dual_value = ext.dual_value
@@ -478,4 +474,4 @@ def strongly_bipolar_perturb(inst: Instance, cut: Cut, eps: float) -> Instance:
         return inst
     delta = cut.delta
     separated = delta[:, None] * delta[None, :] < 0
-    return Instance(inst.weights * np.where(separated, 1.0 + eps, 1.0), labels=inst.labels)
+    return Instance(inst.weights * np.where(separated, 1.0 + eps, 1.0))

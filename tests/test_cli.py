@@ -148,6 +148,25 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
         assert code == 2
 
 
+def test_weights_whose_total_overflows_exit_2(tmp_path, capsys):
+    # each weight is finite; their total is not
+    path = tmp_path / "overflow.json"
+    path.write_text('{"n": 3, "weights": [[0, 1, 1e308], [1, 2, 1e308], [0, 2, 1e308]]}')
+    for argv in (["verify", str(path)], ["solve", str(path), "--algo", "brute"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "InvalidInstanceError"  # one JSON line, no warning
+
+
+def test_verify_above_the_subset_scan_cap_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "k25.json")
+    sc.save_instance(sc.Instance(np.ones((25, 25)) - np.eye(25)), path)
+    code = main(["verify", path])
+    assert code == 2
+    assert "capped at n <= 24" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_solver_failure_exits_1(tmp_path, capsys):
     planted = sc.gen_planted_partition(8, 1.0, 0.0, seed=2)
     inst_path = str(tmp_path / "k44.json")
@@ -224,6 +243,21 @@ def test_output_is_byte_identical_per_seed(tmp_path, capsys):
     _, out1 = run(capsys, "solve", c4, "--algo", "gw", "--seed", "7", "--trials", "4")
     _, out2 = run(capsys, "solve", c4, "--algo", "gw", "--seed", "7", "--trials", "4")
     assert out1 == out2
+
+
+def test_options_do_not_carry_between_calls(tmp_path, capsys):
+    # main() reuses one parser per process; an option given to one call must
+    # not reach the next, whose output matches a fresh process
+    c4 = write_c4(tmp_path)
+    code, first = run(capsys, "solve", c4, "--algo", "dense", "--m", "4", "--with-oracle")
+    assert code == 0 and json.loads(first)["oracle_weight"] == 4.0
+    argv = ["solve", c4, "--algo", "dense", "--C", "1", "--eps", "4"]
+    code, second = run(capsys, *argv)
+    assert code == 0 and json.loads(second)["oracle_weight"] is None
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "stablecut", *argv], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0 and fresh.stdout == second
 
 
 def test_bench_unknown_suite_exits_2(capsys):

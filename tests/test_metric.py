@@ -87,7 +87,7 @@ def test_subset_stability_preserved_by_splitting():
     assert smap.split.n <= 20
     cut = sc.Cut([True, False, False])
     g_orig = sc.cut_stability_gamma(normalized, cut)
-    g_split = sc.cut_stability_gamma(smap.split, sc.lift_cut(smap, cut), max_n=smap.split.n)
+    g_split = sc.cut_stability_gamma(smap.split, sc.lift_cut(smap, cut))
     assert g_split == pytest.approx(g_orig, rel=1e-9)
 
     mult = np.array([1, 2, 3, 1, 2])
@@ -114,7 +114,7 @@ def test_locally_stable_cuts_biject_under_splitting():
     smap = sc.split_instance(normalized)
     for level in (1.02, 2.0):
         orig = sc.enumerate_locally_stable_cuts(normalized, level)
-        split = sc.enumerate_locally_stable_cuts(smap.split, level, max_n=smap.split.n)
+        split = sc.enumerate_locally_stable_cuts(smap.split, level)
         assert len(orig) == len(split)
         lifts = {sc.lift_cut(smap, c) for c in orig}
         lifts |= {sc.lift_cut(smap, c.complement()) for c in orig}

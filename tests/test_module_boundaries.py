@@ -1,9 +1,13 @@
-"""No module of the package uses another module's private (_-prefixed) names."""
+"""No module of the package uses another module's private (_-prefixed) names,
+and settings that no caller varies stay constants rather than parameters."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import stablecut
+from stablecut import acceptance
 
 PACKAGE = Path(stablecut.__file__).parent
 
@@ -46,3 +50,26 @@ def test_checker_flags_private_uses():
 def test_no_cross_module_private_uses():
     found = {path.name: private_uses(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _public_functions():
+    for path in sorted(PACKAGE.glob("[!_]*.py")):  # __main__ would run the CLI
+        module = importlib.import_module(f"stablecut.{path.stem}")
+        for name, fn in vars(module).items():
+            if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                yield f"{path.stem}.{name}", fn
+
+
+def test_only_the_max_cut_takes_a_size_cap():
+    # the scan caps are oracle constants; brute_force_maxcut keeps max_n because
+    # verify and instance_stability cap it at the subset-scan constant
+    takers = sorted(name for name, fn in _public_functions()
+                    if "max_n" in inspect.signature(fn).parameters)
+    assert takers == ["oracle.brute_force_maxcut"]
+
+
+def test_acceptance_criteria_take_only_a_seed():
+    for criterion in acceptance.CRITERIA:
+        params = inspect.signature(criterion).parameters.values()
+        assert [(p.name, p.default) for p in params] == [("seed", acceptance.DEFAULT_SEED)], \
+            criterion.__name__

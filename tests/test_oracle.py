@@ -32,6 +32,26 @@ def test_brute_force_examples(c4, k3):
 def test_brute_force_size_cap(k3):
     with pytest.raises(SizeLimitError):
         sc.brute_force_maxcut(k3, max_n=2)
+    k29 = sc.Instance(np.ones((29, 29)) - np.eye(29))
+    with pytest.raises(SizeLimitError, match="n <= 28, got 29"):
+        sc.brute_force_maxcut(k29)
+
+
+def test_subset_scan_size_cap():
+    # every subset scan and enumeration stops before scanning when n > 24
+    k25 = sc.Instance(np.ones((25, 25)) - np.eye(25))
+    cut = sc.Cut(np.arange(25) % 2 == 0)
+    for scan in (lambda: subset_scan_minima(k25.weights, cut.delta),
+                 lambda: subset_scan_minima(k25.weights, None),
+                 lambda: sc.cheeger_constant(k25),
+                 lambda: sc.cut_stability_gamma(k25, cut),
+                 lambda: sc.distinction_alpha(k25, cut),
+                 lambda: sc.distinguished_condition(k25, cut),
+                 lambda: sc.enumerate_locally_stable_cuts(k25, 1.0),
+                 lambda: next(cut_sides(25)),
+                 lambda: sc.instance_stability(k25)):
+        with pytest.raises(SizeLimitError, match="n <= 24, got 25"):
+            scan()
 
 
 def test_cut_stability_examples(c4, k3, k22_heavy, c4_maxcut):
@@ -342,7 +362,7 @@ def test_block_scan_matches_chunked_kernel():
              for pairs in (1, 6, 7, 8, 9)]
     for inst in pool:
         n = inst.n
-        assert np.array_equal(np.concatenate(list(cut_sides(n, 28)), axis=1),
+        assert np.array_equal(np.concatenate(list(cut_sides(n)), axis=1),
                               np.concatenate(list(_chunked_sides(n)), axis=1))
         opt = sc.brute_force_maxcut(inst)
         assert opt == _chunked_maxcut(inst)

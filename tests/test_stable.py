@@ -12,6 +12,7 @@ from stablecut.errors import (
     PreconditionError,
     SizeLimitError,
 )
+from stablecut.instance import contract
 from stablecut.stable import sqrt_stability_threshold
 
 from conftest import random_instance
@@ -154,7 +155,8 @@ def test_merging_preserves_stability_and_optimum():
         tested += 1
         same = np.flatnonzero(opt.side) if opt.side.sum() >= 2 else np.flatnonzero(~opt.side)
         u, v = int(same[0]), int(same[1])
-        merged, mapping = sc.merge_vertices(inst, u, v)
+        W, mapping = contract(inst.weights, u, v)
+        merged = sc.Instance(W)
         m_opt, _, m_count = sc.brute_force_maxcut(merged)
         assert m_count == 1
         lifted = sc.Cut(m_opt.side[mapping])
