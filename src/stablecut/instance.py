@@ -329,28 +329,49 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(doc: dict) -> Instance:
-    """Strict reader: n and vertex indices must be ints (not bools), weights numbers."""
+    """Strict reader: n and vertex indices must be ints (not bools), weights numbers.
+
+    Every entry is checked at once on arrays, and the error names the first
+    offending entry in file order, by the first check it fails: shape
+    [i, j, w], then types, then the vertex pair (in range, not a self-loop),
+    then a pair listed before, then a finite weight.
+    """
     n = doc.get("n") if isinstance(doc, dict) else None
     if type(n) is not int or n < 2 or type(doc.get("weights")) is not list:
         raise InvalidInstanceError('instance JSON needs an integer "n" >= 2 and a list "weights"')
-    W = np.zeros((n, n))
-    seen = set()
-    for entry in doc["weights"]:
+    entries = doc["weights"]
+    typed = [type(e) is list and len(e) == 3 and type(e[0]) is int and type(e[1]) is int
+             and type(e[2]) in (int, float) for e in entries]
+    # a malformed entry stands in as a self-loop, which the pair check rejects
+    rows = entries if all(typed) else [e if ok else (0, 0, 0.0) for e, ok in zip(entries, typed)]
+    # ints beyond int64 make object arrays, so every comparison below stays exact
+    i, j, w = (np.array(col) for col in zip(*rows)) if rows else (np.zeros(0, dtype=int),) * 3
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    placed = (lo >= 0) & (hi < n) & (lo != hi)
+    # unplaced entries key as 0, which no pair has, and keep their ints out of the arithmetic
+    key = np.where(placed, lo, 0) * n + np.where(placed, hi, 0)
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(entries), dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]  # every listing after the first
+    with np.errstate(invalid="ignore"):  # False for NaN, +-inf and ints beyond float range
+        finite = np.abs(w) <= sys.float_info.max
+    bad = repeated | ~(placed & finite)
+    if bad.any():
+        k = int(np.argmax(bad))
+        entry = entries[k]
         if type(entry) is not list or len(entry) != 3:
             raise InvalidInstanceError(f"weight entry must be [i, j, w], got {entry!r}")
-        i, j, w = entry
-        if type(i) is not int or type(j) is not int or type(w) not in (int, float):
+        if not typed[k]:
             raise InvalidInstanceError(f"weight entry must be [int, int, number], got {entry!r}")
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise InvalidInstanceError(f"bad vertex pair ({i}, {j})")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise InvalidInstanceError(f"pair {key} listed more than once")
-        seen.add(key)
-        if not abs(w) <= sys.float_info.max:  # NaN, +-inf or an int beyond float range
-            raise InvalidInstanceError(f"weight of pair {key} is not a finite float")
-        W[i, j] = w
-        W[j, i] = w
+        if not placed[k]:
+            raise InvalidInstanceError(f"bad vertex pair ({entry[0]}, {entry[1]})")
+        pair = (min(entry[:2]), max(entry[:2]))
+        if repeated[k]:
+            raise InvalidInstanceError(f"pair {pair} listed more than once")
+        raise InvalidInstanceError(f"weight of pair {pair} is not a finite float")
+    W = np.zeros((n, n))
+    W[lo, hi] = w
+    W[hi, lo] = w
     return Instance(W)
 
 

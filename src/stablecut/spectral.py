@@ -22,6 +22,7 @@ the four equivalent characterizations are evaluated independently by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,10 @@ from .instance import Cut, Instance, REL_TOL, cut_weight
 from .oracle import distinction_alpha, local_stability_gamma, subset_scan_minima
 
 INF = math.inf
+
+# sqrt of the largest float: ||g||^2 stays finite for g = w @ V with unit rows
+# of V whenever the row sum of w is at most this.
+ROW_SUM_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def eig_zero_tol(M: np.ndarray) -> float:
@@ -255,12 +260,20 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     is evaluated once per sweep, as one GEMM and a dot, and only decides
     when to stop: the rows never read it.  Global optimality is certified
     a posteriori through the dual residuals, not by the iteration itself.
+
+    Raises ParameterError when a row sum of W exceeds ROW_SUM_LIMIT: a row
+    update's squared norm is at most the row sum squared, and above the
+    limit it would overflow.
     """
     n = inst.n
     r = n if rank is None else rank
     if r < 2:
         raise ParameterError("rank must be >= 2")
     W = inst.weights
+    if W.sum(axis=1).max() > ROW_SUM_LIMIT:
+        raise ParameterError(
+            f"a row sum of the weights exceeds {ROW_SUM_LIMIT:.6g}, where the relaxation's "
+            "row updates overflow")
     rng = np.random.default_rng(seed)
     V = rng.normal(size=(n, r))
     V /= np.linalg.norm(V, axis=1, keepdims=True)

@@ -22,6 +22,14 @@ The pair finders:
 A randomized alternative grows a spanning tree edge by heavy-weighted edge
 and two-colors it; each step picks a cut edge with probability at least
 gamma/(gamma+1), giving per-repetition success at least (gamma/(gamma+1))^(n-1).
+Repetitions grow their trees together as one (R, n) state.  Each step draws
+one uniform per repetition and picks the boundary edge in two levels: the
+tree vertex by cumulative boundary mass, then its outside neighbor by
+cumulative edge weight.  That is the same search ``Generator.choice(p=...)``
+makes over the row-major flattened |inside| x |outside| boundary, with the
+same uniform, so each repetition picks the edges the one-at-a-time sampler
+picked except when a uniform lands within rounding of a cumulative-weight
+boundary.
 """
 
 from __future__ import annotations
@@ -35,6 +43,15 @@ from .errors import InvariantViolationError, ParameterError, PreconditionError, 
 from .instance import Cut, Instance, contract, cut_weight
 
 INF = math.inf
+
+# Repetitions grow their trees in blocks of this many, so the sampler's
+# memory does not grow with the repetition count.
+TREE_BLOCK = 64
+
+# The most repetitions spanning_tree_solve accepts.  In full blocks one
+# repetition at n=200 took 1.1 to 1.4 ms on one core of a shared 2-core host,
+# so a run at the cap takes about two minutes there.
+MAX_TREE_REPETITIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -201,41 +218,84 @@ def spanning_tree_success_bound(gamma: float, n: int) -> float:
 
 
 def default_tree_repetitions(gamma: float, n: int) -> int:
-    """ceil(3 / success bound): enough repetitions for ~95% overall success."""
-    return math.ceil(3.0 / spanning_tree_success_bound(gamma, n))
+    """ceil(3 / success bound): enough repetitions for ~95% overall success.
+
+    Raises ParameterError when that count exceeds MAX_TREE_REPETITIONS.
+    """
+    bound = spanning_tree_success_bound(gamma, n)
+    if bound * MAX_TREE_REPETITIONS < 3.0:
+        raise ParameterError(
+            f"gamma={gamma:g} at n={n} bounds the per-repetition success by {bound:.3g}; "
+            f"ceil(3 / bound) repetitions are above the cap of {MAX_TREE_REPETITIONS}")
+    return math.ceil(3.0 / bound)
+
+
+def _grow_trees(W: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Two-colorings of weight-biased spanning trees grown in lockstep.
+
+    ``U`` holds one row of uniforms in [0, 1) per growth step (n - 1 rows)
+    and one column per tree.  Every tree starts from vertex 0; at each step
+    the boundary edge (t, o) is the first, in row-major (t, o) order, whose
+    cumulative weight exceeds u times the boundary total, as
+    ``np.searchsorted(cdf, u, side="right")`` finds it.  The search runs in
+    two levels, t by the cumulative boundary mass of the tree vertices and
+    then o by the cumulative weights W[t, o] to outside vertices.  A target
+    that rounding pushes to a level's total is clamped just below it, so the
+    pick is never a zero-weight edge.  Returns the (R, n) color matrix, True
+    at vertex 0.
+    """
+    n, R = W.shape[0], U.shape[1]
+    reps = np.arange(R)
+    outside = np.ones((R, n))
+    outside[:, 0] = 0.0
+    inside = np.empty((R, n))
+    mass = np.empty((R, n))
+    color = np.zeros((R, n), dtype=bool)
+    color[:, 0] = True
+    cum = np.zeros((R, n + 1))  # cum[:, k]: boundary mass of the tree vertices below k
+    upto, total = cum[:, 1:], cum[:, -1]
+    for u in U:
+        np.subtract(1.0, outside, out=inside)
+        np.matmul(outside, W, out=mass)  # W is symmetric: mass[r, t] = w(t, outside of r)
+        mass *= inside
+        np.add.accumulate(mass, axis=1, out=upto)
+        target = np.minimum(u * total, np.nextafter(total, 0.0))
+        t = (upto > target[:, None]).argmax(axis=1)
+        rest = target - cum[reps, t]
+        row = W[t] * outside
+        within = np.add.accumulate(row, axis=1)
+        rest = np.minimum(rest, np.nextafter(within[:, -1], 0.0))
+        o = (within > rest[:, None]).argmax(axis=1)
+        outside[reps, o] = 0.0
+        color[reps, o] = ~color[reps, t]
+    return color
 
 
 def spanning_tree_solve(inst: Instance, seed: int, repetitions: int = 1) -> Cut:
     """Randomized solver: grow a weight-biased spanning tree and two-color it.
 
     Each repetition starts from vertex 0 and repeatedly samples a boundary
-    edge with probability proportional to its weight.  Repetitions use
-    independent child streams of the seed; the heaviest cut found wins.
+    edge with probability proportional to its weight, using one uniform
+    from its own child stream of the seed per step.  The two-level draw of
+    ``_grow_trees`` equals ``choice`` over the row-major flattened boundary
+    with that uniform.  Repetitions run TREE_BLOCK at a time; the heaviest
+    cut wins, the first one on ties.  At most MAX_TREE_REPETITIONS
+    repetitions are accepted (ParameterError above).
     """
     if repetitions < 1:
         raise ParameterError("repetitions must be >= 1")
-    n = inst.n
-    W = inst.weights
-    streams = np.random.SeedSequence(seed).spawn(repetitions)
-    best, best_w = None, -INF
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        in_tree = np.zeros(n, dtype=bool)
-        color = np.zeros(n, dtype=bool)
-        in_tree[0] = color[0] = True
-        for _ in range(n - 1):
-            inside = np.flatnonzero(in_tree)
-            outside = np.flatnonzero(~in_tree)
-            boundary = W[np.ix_(inside, outside)]
-            flat = boundary.ravel()
-            total = flat.sum()
-            pick = rng.choice(flat.size, p=flat / total)
-            ti, oi = np.unravel_index(pick, boundary.shape)
-            t, o = int(inside[ti]), int(outside[oi])
-            in_tree[o] = True
-            color[o] = not color[t]
-        cut = Cut(color)
-        w = cut_weight(inst, cut)
-        if w > best_w:
-            best, best_w = cut, w
+    if repetitions > MAX_TREE_REPETITIONS:
+        raise ParameterError(
+            f"repetitions={repetitions} exceeds the cap of {MAX_TREE_REPETITIONS}")
+    streams = np.random.SeedSequence(seed)  # spawning in blocks yields the same children
+    best = None
+    for start in range(0, repetitions, TREE_BLOCK):
+        block = streams.spawn(min(TREE_BLOCK, repetitions - start))
+        # random(n - 1) yields the uniforms that n - 1 calls of choice(p=...) consume
+        U = np.array([np.random.default_rng(ss).random(inst.n - 1) for ss in block]).T
+        cuts = [Cut(side) for side in _grow_trees(inst.weights, U)]
+        if best is not None:
+            cuts.insert(0, best)
+        # one candidate needs no weight; max keeps the first of equal maxima
+        best = cuts[0] if len(cuts) == 1 else max(cuts, key=lambda cut: cut_weight(inst, cut))
     return best

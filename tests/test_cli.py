@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stablecut as sc
+from stablecut import stable
 from stablecut.cli import main
 
 
@@ -159,6 +162,30 @@ def test_weights_whose_total_overflows_exit_2(tmp_path, capsys):
         assert json.loads(err)["kind"] == "InvalidInstanceError"  # one JSON line, no warning
 
 
+def test_gw_on_weights_whose_row_updates_overflow_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 3, "weights": [[0, 1, 2.9e307], [0, 2, 2.9e307], [1, 2, 2.9e307]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning before the error line
+        code = main(["solve", str(path), "--algo", "gw"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "ParameterError"  # one JSON line
+
+
+@pytest.mark.parametrize("argv", [
+    ("--gamma", "1.01"),  # ceil(3 / bound) is about 2e19 at n=64
+    ("--reps", str(stable.MAX_TREE_REPETITIONS + 1)),
+])
+def test_spanning_tree_above_the_repetition_cap_exits_2(tmp_path, capsys, argv):
+    path = str(tmp_path / "b64.json")
+    sc.save_instance(sc.gen_stable_bipartite_noise(64, 8.0, seed=1).instance, path)
+    code = main(["solve", path, "--algo", "spanning-tree", "--seed", "1", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "ParameterError"
+
+
 def test_verify_above_the_subset_scan_cap_exits_2(tmp_path, capsys):
     path = str(tmp_path / "k25.json")
     sc.save_instance(sc.Instance(np.ones((25, 25)) - np.eye(25)), path)
@@ -264,6 +291,17 @@ def test_bench_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--suite", "nope"])
     assert err.value.code == 2
+
+
+def test_bench_stability_sweep_output_is_pinned(capsys):
+    code, out = run(capsys, "bench", "--suite", "stability-sweep", "--seed", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert [row["success"]["spanning-tree"] for row in doc["rows"]] == [
+        "5/10", "10/10", "10/10", "10/10", "10/10"]
+    # byte-identical to the output of the one-tree-at-a-time sampler
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d63a6dea5547ddccd7877f9528aaec01956c88f6afe6c4c59353c2c6b3841688")
 
 
 def test_bench_gw_gap(capsys):

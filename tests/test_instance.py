@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +288,95 @@ def test_instance_json_requires_exact_types(n, entry):
         sc.instance_from_json({"n": 3, "weights": 5})
     # integer weights are numbers too
     assert sc.instance_from_json({"n": 3, "weights": [[0, 1, 2], [1, 2, 1.5]]}).weights[0, 1] == 2.0
+
+
+def test_instance_json_names_the_first_offending_entry():
+    ok = [[0, 1, 1.0], [1, 2, 2], [2, 3, 0.5]]
+    cases = [
+        # (bad entries, message): the earliest entry wins over the earlier check
+        ([[1, 3, float("nan")], [0, 1, 2.0], [4, 1, 1.0], "x"],
+         "weight of pair (1, 3) is not a finite float"),
+        ([[3, 1, 1.0], [1, 3, float("inf")], [0, 0, 1.0]], "pair (1, 3) listed more than once"),
+        ([[0, 9, 1e400], [2, 2, 1.0], [0, 1, 1.0]], "bad vertex pair (0, 9)"),
+        ([[1, 1, "w"], [0, 1]], "weight entry must be [int, int, number], got [1, 1, 'w']"),
+        ([[1, 3], [0, 1.5, 1.0]], "weight entry must be [i, j, w], got [1, 3]"),
+        ([[-(10 ** 30), 2, 1.0], [0, 1, 1.0]], f"bad vertex pair ({-(10 ** 30)}, 2)"),
+        ([[0, 3, 10 ** 400]], "weight of pair (0, 3) is not a finite float"),
+        # an index beyond float range beside one that makes its column float64
+        ([[10 ** 400, 0, 1.0], [0, 2 ** 63, 1.0]], f"bad vertex pair ({10 ** 400}, 0)"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(InvalidInstanceError) as err:
+            sc.instance_from_json({"n": 4, "weights": ok + bad})
+        assert str(err.value) == message
+
+
+def _reference_instance_from_json(doc):
+    """The replaced per-entry reader (same contract, one entry at a time)."""
+    n = doc["n"]
+    W = np.zeros((n, n))
+    seen = set()
+    for entry in doc["weights"]:
+        if type(entry) is not list or len(entry) != 3:
+            raise InvalidInstanceError(f"weight entry must be [i, j, w], got {entry!r}")
+        i, j, w = entry
+        if type(i) is not int or type(j) is not int or type(w) not in (int, float):
+            raise InvalidInstanceError(f"weight entry must be [int, int, number], got {entry!r}")
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise InvalidInstanceError(f"bad vertex pair ({i}, {j})")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise InvalidInstanceError(f"pair {key} listed more than once")
+        seen.add(key)
+        if not abs(w) <= sys.float_info.max:
+            raise InvalidInstanceError(f"weight of pair {key} is not a finite float")
+        W[i, j] = w
+        W[j, i] = w
+    return sc.Instance(W)
+
+
+def test_instance_json_matches_the_per_entry_reader():
+    """Seeded documents with up to three faults each: the same matrix bytes or
+    the same error message as the per-entry reader."""
+    rng = np.random.default_rng(11)
+    odd = [True, None, "1", 1.5, -1, 7, 2 ** 63, -(10 ** 30), float("nan"), float("-inf"),
+           [1], {}, 10 ** 400, 2 ** 63 + 12345, 1e308, -0.0, -2.0]
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        pairs = [[int(a), int(b)] for a, b in zip(*np.triu_indices(n, 1))]
+        rng.shuffle(pairs)
+        entries = [[*(p[::-1] if rng.random() < 0.5 else p),
+                    [float(rng.random()), int(rng.integers(0, 4)), 2 ** 60 + 1, 10 ** 30][i % 4]]
+                   for i, p in enumerate(pairs[:int(rng.integers(0, len(pairs) + 1))])]
+        for _ in range(int(rng.integers(0, 4)) if entries else 0):
+            k = int(rng.integers(len(entries)))
+            if type(entries[k]) is not list or len(entries[k]) != 3:
+                continue
+            e = list(entries[k])
+            kind = int(rng.integers(5))
+            if kind == 0:
+                entries[k] = [e[:2], e + [1], "abc", 5, None][int(rng.integers(5))]
+            elif kind == 1:
+                e[int(rng.integers(3))] = odd[int(rng.integers(len(odd)))]
+                entries[k] = e
+            elif kind == 2:
+                e[1] = e[0]
+                entries[k] = e
+            else:  # the same pair again, in either orientation
+                entries.insert(int(rng.integers(len(entries) + 1)), e[1::-1] + [1.0] if kind == 3 else e)
+        doc = {"n": n, "weights": entries}
+        try:
+            expected = _reference_instance_from_json(doc).weights.tobytes()
+        except InvalidInstanceError as exc:
+            expected = str(exc)
+        try:
+            got = sc.instance_from_json(doc).weights.tobytes()
+        except InvalidInstanceError as exc:
+            got = str(exc)
+        assert got == expected, doc
+        outcomes.add(expected.split(" ")[0] if isinstance(expected, str) else "ok")
+    assert {"ok", "weight", "bad", "pair"} <= outcomes  # every check of the reader fires
 
 
 def test_cut_json_roundtrip(tmp_path):

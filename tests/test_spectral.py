@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stablecut as sc
+from stablecut import spectral
 from stablecut.acceptance import gw_pool
 from stablecut.errors import ParameterError, PreconditionError
 from stablecut.spectral import binary_shift, eig_zero_tol, spectral_threshold, weight_scale
@@ -141,6 +142,17 @@ def test_primal_worked_examples(c4, k3):
 
     with pytest.raises(ParameterError):
         sc.gw_primal_solve(c4, rank=1)
+
+
+def test_primal_rejects_rows_whose_update_overflows():
+    # finite total, but ||w @ V||^2 of a row would overflow to inf
+    huge = sc.Instance(np.full((3, 3), 2.9e307) - np.diag([2.9e307] * 3))
+    with pytest.raises(ParameterError, match="row sum"):
+        sc.gw_primal_solve(huge, seed=0)
+    # at the limit the row updates stay finite
+    edge = sc.Instance([[0.0, spectral.ROW_SUM_LIMIT], [spectral.ROW_SUM_LIMIT, 0.0]])
+    sol = sc.gw_primal_solve(edge, seed=0)
+    assert sol.converged and sol.gram[0, 1] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_primal_deterministic_per_seed(c4):

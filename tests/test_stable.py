@@ -12,7 +12,7 @@ from stablecut.errors import (
     PreconditionError,
     SizeLimitError,
 )
-from stablecut.instance import contract
+from stablecut.instance import contract, support_connected
 from stablecut.stable import sqrt_stability_threshold
 
 from conftest import random_instance
@@ -383,6 +383,16 @@ def test_spanning_tree_bound_values():
         sc.spanning_tree_solve(sc.Instance([[0, 1.0], [1.0, 0]]), seed=0, repetitions=0)
 
 
+def test_spanning_tree_repetition_cap():
+    assert stable.default_tree_repetitions(9.0, 10) == math.ceil(3.0 / 0.9 ** 9)
+    for gamma, n in ((1.01, 64), (1.0, 1100)):  # 2e19 repetitions; a bound that underflows to 0
+        with pytest.raises(ParameterError, match="above the cap"):
+            stable.default_tree_repetitions(gamma, n)
+    with pytest.raises(ParameterError, match="exceeds the cap"):
+        sc.spanning_tree_solve(sc.Instance([[0, 1.0], [1.0, 0]]), seed=0,
+                               repetitions=stable.MAX_TREE_REPETITIONS + 1)
+
+
 def test_spanning_tree_determinism_and_rate():
     planted = sc.gen_stable_bipartite_noise(12, 20.0, seed=7)
     inst = planted.instance
@@ -398,3 +408,91 @@ def test_spanning_tree_determinism_and_rate():
                for s in range(trials))
     rate = hits / trials
     assert rate >= bound - 3 * math.sqrt(bound * (1 - bound) / trials)
+
+
+def _reference_colors(W, pick):
+    """The replaced one-tree-at-a-time loop.  ``pick(flat)`` returns the index
+    of the next edge in the row-major flattened |inside| x |outside| boundary."""
+    n = W.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    color = np.zeros(n, dtype=bool)
+    in_tree[0] = color[0] = True
+    for _ in range(n - 1):
+        inside = np.flatnonzero(in_tree)
+        outside = np.flatnonzero(~in_tree)
+        boundary = W[np.ix_(inside, outside)]
+        ti, oi = np.unravel_index(pick(boundary.ravel()), boundary.shape)
+        t, o = int(inside[ti]), int(outside[oi])
+        in_tree[o] = True
+        color[o] = not color[t]
+    return color
+
+
+def _reference_spanning_tree_solve(inst, seed, repetitions):
+    best, best_w = None, -INF
+    for ss in np.random.SeedSequence(seed).spawn(repetitions):
+        rng = np.random.default_rng(ss)
+        cut = sc.Cut(_reference_colors(
+            inst.weights, lambda flat: rng.choice(flat.size, p=flat / flat.sum())))
+        w = sc.cut_weight(inst, cut)
+        if w > best_w:
+            best, best_w = cut, w
+    return best
+
+
+def _tree_pool():
+    """Seeded instances at n = 2..30; planted partitions with q = 0, tightness
+    and matching-eps instances carry zero-weight edges."""
+    for n in (2, 3):
+        yield sc.Instance(np.ones((n, n)) - np.eye(n))
+    for n in range(4, 31):
+        yield sc.gen_planted_partition(n, 1.0, 0.0, seed=n).instance
+        if n % 2:
+            yield sc.gen_planted_partition(n, 0.6, 0.3, seed=n).instance
+        else:
+            yield (sc.gen_tightness_example(n // 2).instance, sc.gen_matching_epsilon(n // 2, 0.3),
+                   sc.gen_stable_bipartite_noise(n, 3.0, seed=n).instance)[n // 2 % 3]
+
+
+def test_spanning_tree_matches_the_one_tree_loop():
+    runs = 0
+    for idx, inst in enumerate(_tree_pool()):
+        for reps in (1, 3, 16):
+            seed = 7 * idx + reps
+            assert (sc.spanning_tree_solve(inst, seed, reps)
+                    == _reference_spanning_tree_solve(inst, seed, reps)), (inst.n, reps)
+            runs += 1
+    # a full block and a partial second one; the n=64 spanning-tree solve of solve-poly seed 1
+    inst = sc.gen_matching_epsilon(3, 0.3)
+    assert (sc.spanning_tree_solve(inst, 4, stable.TREE_BLOCK + 3)
+            == _reference_spanning_tree_solve(inst, 4, stable.TREE_BLOCK + 3))
+    inst = sc.gen_stable_bipartite_noise(64, 384.0, seed=962964187).instance
+    assert (sc.spanning_tree_solve(inst, 188845136, 5)
+            == _reference_spanning_tree_solve(inst, 188845136, 5))
+    assert runs == 3 * 56
+
+
+def test_two_level_draw_breaks_ties_like_choice():
+    """Uniforms on a quarter grid land exactly on cumulative boundaries of
+    small integer weights, where side="right" decides the pick."""
+    def choice_search(us):
+        draws = iter(us)
+
+        def pick(flat):  # Generator.choice(p=flat/total)'s search, exact on these weights
+            return int(np.searchsorted(np.cumsum(flat), next(draws) * flat.sum(), side="right"))
+        return pick
+
+    rng = np.random.default_rng(3)
+    matrices = [np.ones((3, 3)) - np.eye(3), np.ones((4, 4)) - np.eye(4)]
+    while len(matrices) < 12:
+        n = int(rng.integers(4, 8))
+        W = np.triu(rng.integers(0, 3, size=(n, n)), 1).astype(float)
+        W += W.T
+        if support_connected(W):
+            matrices.append(W)
+    for W in matrices:
+        n = W.shape[0]
+        U = rng.integers(0, 4, size=(n - 1, 40)) / 4.0
+        colors = stable._grow_trees(W, U)
+        for r in range(U.shape[1]):
+            assert np.array_equal(colors[r], _reference_colors(W, choice_search(U[:, r])))
