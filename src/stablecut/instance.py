@@ -324,7 +324,7 @@ def is_metric(inst: Instance) -> MetricCheck:
 
 def instance_to_json(inst: Instance) -> dict:
     i, j = np.nonzero(np.triu(inst.weights))
-    triples = [[int(a), int(b), float(inst.weights[a, b])] for a, b in zip(i, j)]
+    triples = [list(t) for t in zip(i.tolist(), j.tolist(), inst.weights[i, j].tolist())]
     return {"n": inst.n, "weights": triples}
 
 
@@ -376,9 +376,9 @@ def instance_from_json(doc: dict) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
+    # json.dumps takes the C encoder; json.dump to a file always encodes in Python
     with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh)
-        fh.write("\n")
+        fh.write(json.dumps(instance_to_json(inst)) + "\n")
 
 
 def load_instance(path) -> Instance:
@@ -387,7 +387,7 @@ def load_instance(path) -> Instance:
 
 
 def cut_to_json(cut: Cut) -> dict:
-    return {"side": [int(b) for b in cut.side]}
+    return {"side": cut.side.astype(int).tolist()}
 
 
 def cut_from_json(doc: dict) -> Cut:
@@ -400,8 +400,7 @@ def cut_from_json(doc: dict) -> Cut:
 
 def save_cut(cut: Cut, path) -> None:
     with open(path, "w") as fh:
-        json.dump(cut_to_json(cut), fh)
-        fh.write("\n")
+        fh.write(json.dumps(cut_to_json(cut)) + "\n")
 
 
 def load_cut(path) -> Cut:

@@ -258,8 +258,11 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     the objective change per sweep drops below ``tol`` relative, or after
     ``max_sweeps``; the result then carries converged=False.  The objective
     is evaluated once per sweep, as one GEMM and a dot, and only decides
-    when to stop: the rows never read it.  Global optimality is certified
-    a posteriori through the dual residuals, not by the iteration itself.
+    when to stop: the rows never read it.  Rows update through one buffer
+    reused for the whole solve, with the same gemv and the same division as
+    ``v_i = -(w_i @ V) / norm``, so nothing is allocated per row.  Global
+    optimality is certified a posteriori through the dual residuals, not by
+    the iteration itself.
 
     Raises ParameterError when a row sum of W exceeds ROW_SUM_LIMIT: a row
     update's squared norm is at most the row sum squared, and above the
@@ -279,15 +282,16 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     stall = 1e-13 * max(1.0, float(W.max()))
     rows = list(zip(W, V))  # views: writing v updates V in place
+    g = np.empty(r)
     prev = float(np.vdot(W @ V, V))
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         for w, v in rows:
-            g = w @ V
+            np.dot(w, V, out=g)  # the gemv of w @ V, into the one buffer
             norm = math.sqrt(g.dot(g))  # np.linalg.norm of a real vector, without its wrapper
             if norm > stall:
-                v[:] = g / -norm
+                np.divide(g, -norm, out=v)
         value = float(np.vdot(W @ V, V))
         if abs(value - prev) <= tol * (1.0 + abs(value)):
             converged = True
@@ -348,23 +352,31 @@ def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 3
     """Round solved vectors through uniformly random hyperplanes.
 
     Each trial samples a direction v and takes S = {i : <v, v_i> > 0}; the
-    heaviest valid cut over all trials wins; trials whose sign pattern is
-    one-sided (an exactly zero projection among them) yield no candidate.
+    heaviest valid cut over all trials wins, the first trial to reach it
+    giving the projection; trials whose sign pattern is one-sided (an
+    exactly zero projection among them) yield no candidate.  Each distinct
+    side is weighed once per call: trials mostly repeat a side.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     V = np.asarray(vectors, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != inst.n:
         raise ParameterError("vectors must be (n, r)")
+    n = inst.n
     rng = np.random.default_rng(seed)
+    weighed: dict[bytes, tuple[Cut, float]] = {}
     best: GwRounding | None = None
     for _ in range(trials):
         u = V @ rng.normal(size=V.shape[1])
         side = u > 0.0
-        if side.all() or not side.any():
+        if not 0 < np.count_nonzero(side) < n:
             continue
-        cut = Cut(side)
-        w = cut_weight(inst, cut)
+        # keyed by the side itself: a complement sums in another order
+        key = side.tobytes()
+        if key not in weighed:
+            cut = Cut(side)
+            weighed[key] = cut, cut_weight(inst, cut)
+        cut, w = weighed[key]
         if best is None or w > best.weight:
             best = GwRounding(cut=cut, weight=w, projection=u)
     if best is None:

@@ -54,7 +54,10 @@ def test_criterion_08_spectral_certificate():
 
 
 def test_criterion_09_relaxation_battery():
-    _check(acceptance.criterion_9)
+    result = _check(acceptance.criterion_9)
+    assert result.details == {"pool": 200, "converged_pairs": 200, "bipolarity_checked": 200,
+                              "tolerance_escalations": 0, "c4_primal": -8.0, "k3_primal": -3.0,
+                              "k3_quad_form": -2.0}
 
 
 def test_criterion_10_locally_stable_counts():

@@ -304,6 +304,15 @@ def test_bench_stability_sweep_output_is_pinned(capsys):
         "d63a6dea5547ddccd7877f9528aaec01956c88f6afe6c4c59353c2c6b3841688")
 
 
+def test_bench_gw_gap_output_is_pinned(capsys):
+    code, out = run(capsys, "bench", "--suite", "gw-gap", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["converged"] == 60
+    # byte-identical to the output of the row loop that allocated per row
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7be41c99804f76e21582f8dcd48452309c67813c452e6b2ab85304362ee363de")
+
+
 def test_bench_gw_gap(capsys):
     code, out = run(capsys, "bench", "--suite", "gw-gap", "--seed", "5")
     assert code == 0

@@ -262,6 +262,38 @@ def test_instance_json_roundtrip_bitexact(tmp_path):
     assert (2, 3) not in listed
 
 
+def test_saved_files_match_the_python_encoder(tmp_path):
+    # the files json.dump wrote before saves went through json.dumps's C encoder
+    rng = np.random.default_rng(31)
+    W7 = np.triu(rng.random((7, 7)), 1)
+    W7[0, 1] = 0.1 + 0.2  # shortest repr needs 17 digits
+    W7[2, 3] = 0.0  # omitted pair
+    W7[4, 6] = 3.0  # integral float
+    insts = [sc.Instance([[0.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]]), sc.Instance(W7 + W7.T),
+             sc.gen_stable_bipartite_noise(200, 8.0, 4).instance]
+    for k, inst in enumerate(insts):
+        W = inst.weights
+        i, j = np.nonzero(np.triu(W))
+        doc = {"n": inst.n, "weights": [[int(a), int(b), float(W[a, b])] for a, b in zip(i, j)]}
+        assert sc.instance_to_json(inst) == doc
+        expected = tmp_path / f"expected{k}.json"
+        with open(expected, "w") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        path = tmp_path / f"inst{k}.json"
+        sc.save_instance(inst, path)
+        assert path.read_bytes() == expected.read_bytes()
+
+        cut = sc.Cut(np.arange(inst.n) % 3 == 1)
+        with open(expected, "w") as fh:
+            json.dump({"side": [int(b) for b in cut.side]}, fh)
+            fh.write("\n")
+        cut_path = tmp_path / f"cut{k}.json"
+        sc.save_cut(cut, cut_path)
+        assert cut_path.read_bytes() == expected.read_bytes()
+    assert b"0.30000000000000004" in (tmp_path / "inst1.json").read_bytes()
+
+
 def test_instance_json_rejects_garbage():
     with pytest.raises(InvalidInstanceError):
         sc.instance_from_json({"n": 3})

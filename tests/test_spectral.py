@@ -6,7 +6,7 @@ import pytest
 import stablecut as sc
 from stablecut import spectral
 from stablecut.acceptance import gw_pool
-from stablecut.errors import ParameterError, PreconditionError
+from stablecut.errors import ParameterError, PreconditionError, SolverFailure
 from stablecut.spectral import binary_shift, eig_zero_tol, spectral_threshold, weight_scale
 
 from conftest import random_cut, random_instance
@@ -198,6 +198,9 @@ def test_primal_iterates_match_reference_loop():
     noise = sc.gen_stable_bipartite_noise(64, 8.0, 3).instance
     runs += [(noise, {"seed": 1}), (noise, {"seed": 2, "rank": 2}),
              (noise, {"seed": 3, "rank": 3}), (noise, {"seed": 4, "max_sweeps": 3})]
+    # solve-poly's bn200a shape: four times the sqrt-stable threshold at n=200
+    runs += [(sc.gen_stable_bipartite_noise(200, 4.0 * (math.sqrt(8 * 200 + 4) + 1.0), 5).instance,
+              {"seed": 6})]
     snd = sc.gen_infinite_stable_not_distinguished(6, 1e-3).instance
     runs += [(snd, {"seed": 5, "rank": 2}), (snd, {"seed": 6, "rank": 3})]
 
@@ -217,7 +220,7 @@ def test_primal_iterates_match_reference_loop():
         sols.append(sol)
     # the pool reaches both ends: long solves and a truncated one
     assert max(sol.sweeps for sol in sols) >= 300
-    truncated = sols[-3]
+    truncated = sols[-4]
     assert truncated.sweeps == 3 and not truncated.converged
 
 
@@ -271,6 +274,64 @@ def test_rounding(c4, k3, c4_maxcut):
 
     with pytest.raises(ParameterError):
         sc.gw_round(c4, sol.vectors, seed=0, trials=0)
+
+
+def _reference_round(inst, vectors, seed=0, trials=32):
+    """The rounding loop gw_round replaced: one Cut and one cut_weight per trial.
+    Kept to pin the fast loop's cut, weight and projection."""
+    V = np.asarray(vectors, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(trials):
+        u = V @ rng.normal(size=V.shape[1])
+        side = u > 0.0
+        if side.all() or not side.any():
+            continue
+        cut = sc.Cut(side)
+        w = sc.cut_weight(inst, cut)
+        if best is None or w > best[1]:
+            best = (cut, w, u)
+    if best is None:
+        raise SolverFailure("every rounding trial produced a one-sided pattern")
+    return best
+
+
+def test_rounding_matches_reference_loop():
+    rng = np.random.default_rng(41)
+    runs = []
+    for pool_seed in (0, 7):
+        for idx, inst in enumerate(gw_pool(pool_seed, 60)):
+            vectors = sc.gw_primal_solve(inst, seed=pool_seed + idx).vectors
+            runs += [(inst, vectors, {"seed": idx}),
+                     (inst, vectors, {"seed": idx + 1, "trials": 5})]
+    for n in (64, 200):
+        inst = sc.gen_stable_bipartite_noise(n, 8.0, n).instance
+        runs.append((inst, sc.gw_primal_solve(inst, seed=2).vectors, {"seed": 3}))
+    # unsolved vectors: nearly every trial takes a side of its own
+    inst = random_instance(rng, 12)
+    runs.append((inst, rng.normal(size=(12, 12)), {"seed": 4, "trials": 64}))
+
+    repeats = distinct = 0
+    for inst, vectors, kw in runs:
+        fast = sc.gw_round(inst, vectors, **kw)
+        cut, weight, projection = _reference_round(inst, vectors, **kw)
+        assert fast.cut.side.tobytes() == cut.side.tobytes()
+        assert fast.weight == weight
+        assert fast.projection.tobytes() == projection.tobytes()
+        rng_kw = np.random.default_rng(kw["seed"])
+        sides = {(vectors @ rng_kw.normal(size=vectors.shape[1]) > 0.0).tobytes()
+                 for _ in range(kw.get("trials", 32))}
+        repeats += len(sides) < kw.get("trials", 32)
+        distinct = max(distinct, len(sides))
+    # the pool repeats sides, so a later trial ties the best one; the random V does not
+    assert repeats >= 200 and distinct >= 60
+
+    # every trial one-sided: both loops give up
+    same = np.tile(rng.normal(size=5), (12, 1))
+    with pytest.raises(SolverFailure):
+        sc.gw_round(inst, same, seed=0)
+    with pytest.raises(SolverFailure):
+        _reference_round(inst, same, seed=0)
 
 
 def test_rounding_projection_lies_in_dual_kernel(c4):
