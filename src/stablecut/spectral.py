@@ -12,11 +12,13 @@ The relaxation side solves
     minimize sum_ij W_ij <v_i, v_j>   over unit vectors v_i
 
 by block-coordinate descent on the factor matrix (each row update is the
-closed-form minimizer), extracts the unique dual diagonal from the solved
-Gram matrix, and rounds with random hyperplanes.  A cut whose rank-one
-+/-1 Gram matrix attains the relaxation optimum is called bipolar here;
-the four equivalent characterizations are evaluated independently by
-``bipolarity_check``.
+closed-form minimizer) for at most MIXING_SWEEPS sweeps; a solve that has
+not converged by then is finished by a primal-dual interior-point method on
+the Gram matrix, whose dual iterate certifies the gap.  The pipeline then
+extracts the unique dual diagonal from the solved Gram matrix and rounds
+with random hyperplanes.  A cut whose rank-one +/-1 Gram matrix attains the
+relaxation optimum is called bipolar here; the four equivalent
+characterizations are evaluated independently by ``bipolarity_check``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ INF = math.inf
 # sqrt of the largest float: ||g||^2 stays finite for g = w @ V with unit rows
 # of V whenever the row sum of w is at most this.
 ROW_SUM_LIMIT = math.sqrt(sys.float_info.max)
+
+# Mixing sweeps a relaxation solve runs before the interior-point finish takes
+# over; solves that converge within them never reach the finish.
+MIXING_SWEEPS = 32
+# Iteration cap of the interior-point finish, which takes 18 to 32 iterations on
+# the inputs measured (n = 3 to 200).
+FINISH_ITERATIONS = 100
 
 
 def eig_zero_tol(M: np.ndarray) -> float:
@@ -232,13 +241,19 @@ def glev_scaling_perturbation(inst: Instance, v) -> Instance:
 
 @dataclass
 class GwSolution:
-    """State of one relaxation solve; dual and rounding fields are filled lazily."""
+    """State of one relaxation solve; dual and rounding fields are filled lazily.
+
+    ``sweeps`` counts mixing sweeps and ``finish_iterations`` the
+    interior-point iterations after them: 0 when mixing converged or
+    ``max_sweeps`` stopped the solve first.
+    """
 
     vectors: np.ndarray
     gram: np.ndarray
     primal_value: float
     converged: bool
     sweeps: int
+    finish_iterations: int = 0
     dual_diag: np.ndarray | None = None
     dual_value: float | None = None
     gap: float | None = None
@@ -250,19 +265,27 @@ class GwSolution:
 
 def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 100_000,
                     tol: float = 1e-10, seed: int = 0) -> GwSolution:
-    """Minimize sum_ij W_ij <v_i, v_j> over unit vectors by cyclic row updates.
+    """Minimize sum_ij W_ij <v_i, v_j> over unit vectors: mixing sweeps, then a finish.
 
-    Each row update v_i <- -normalize(sum_j W_ij v_j) is the exact minimizer
-    with the other rows fixed (rows with a vanishing update direction keep
-    their current value: any unit vector is stationary there).  Stops when
-    the objective change per sweep drops below ``tol`` relative, or after
-    ``max_sweeps``; the result then carries converged=False.  The objective
-    is evaluated once per sweep, as one GEMM and a dot, and only decides
-    when to stop: the rows never read it.  Rows update through one buffer
-    reused for the whole solve, with the same gemv and the same division as
-    ``v_i = -(w_i @ V) / norm``, so nothing is allocated per row.  Global
-    optimality is certified a posteriori through the dual residuals, not by
-    the iteration itself.
+    The mixing phase runs cyclic row updates: each v_i <- -normalize(sum_j
+    W_ij v_j) is the exact minimizer with the other rows fixed (rows with a
+    vanishing update direction keep their current value: any unit vector is
+    stationary there).  It stops when the objective change per sweep drops
+    below ``tol`` relative, after ``max_sweeps``, or after MIXING_SWEEPS.  The
+    objective is evaluated once per sweep, as one GEMM and a dot, and only
+    decides when to stop: the rows never read it.  Rows update through one
+    buffer reused for the whole solve, with the same gemv and the same
+    division as ``v_i = -(w_i @ V) / norm``, so nothing is allocated per row.
+    Both stop rules scale with the weights: the relative test's floor is
+    min(1, sum W) and the stall threshold 1e-13 max W.
+
+    A solve that has not converged within MIXING_SWEEPS sweeps while
+    ``max_sweeps`` allows more is finished by ``_interior_point``, which
+    ignores V and so the seed.  It returns the Gram matrix X itself, vectors
+    U sqrt(max(lambda, 0)) from eigh(X) (n columns whatever ``rank`` is:
+    ``rank`` shapes only the mixing phase), primal value <W, X>, and
+    converged=True when its certified duality gap reached ``tol``.  A mixing
+    solve is certified only a posteriori, through the dual residuals.
 
     Raises ParameterError when a row sum of W exceeds ROW_SUM_LIMIT: a row
     update's squared norm is at most the row sum squared, and above the
@@ -280,26 +303,96 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     rng = np.random.default_rng(seed)
     V = rng.normal(size=(n, r))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    stall = 1e-13 * max(1.0, float(W.max()))
+    floor = min(1.0, float(W.sum()))
+    stall = 1e-13 * float(W.max())
     rows = list(zip(W, V))  # views: writing v updates V in place
     g = np.empty(r)
     prev = float(np.vdot(W @ V, V))
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, min(max_sweeps, MIXING_SWEEPS) + 1):
         for w, v in rows:
             np.dot(w, V, out=g)  # the gemv of w @ V, into the one buffer
             norm = math.sqrt(g.dot(g))  # np.linalg.norm of a real vector, without its wrapper
             if norm > stall:
                 np.divide(g, -norm, out=v)
         value = float(np.vdot(W @ V, V))
-        if abs(value - prev) <= tol * (1.0 + abs(value)):
+        if abs(value - prev) <= tol * (floor + abs(value)):
             converged = True
             prev = value
             break
         prev = value
-    return GwSolution(vectors=V, gram=V @ V.T, primal_value=prev,
-                      converged=converged, sweeps=sweeps)
+    if converged or max_sweeps <= MIXING_SWEEPS:
+        return GwSolution(vectors=V, gram=V @ V.T, primal_value=prev,
+                          converged=converged, sweeps=sweeps)
+    X, converged, iterations = _interior_point(W, tol, floor)
+    lam, U = np.linalg.eigh(X)
+    return GwSolution(vectors=U * np.sqrt(np.maximum(lam, 0.0)), gram=X,
+                      primal_value=float(np.vdot(W, X)), converged=converged,
+                      sweeps=sweeps, finish_iterations=iterations)
+
+
+def _step_length(M: np.ndarray, dM: np.ndarray) -> float:
+    """Backtracking step that keeps M + a dM positive definite.
+
+    Tries a = 1, 0.8, 0.64, ... by Cholesky; a step below 1 is taken 0.95 of
+    the way, which keeps the iterate off the boundary of the cone.  Returns 0
+    when no a >= 0.8**99 passes (M itself is not positive definite).
+    """
+    a = 1.0
+    for _ in range(100):
+        try:
+            np.linalg.cholesky(M + a * dM)
+        except np.linalg.LinAlgError:
+            a *= 0.8
+            continue
+        return a if a == 1.0 else 0.95 * a
+    return 0.0
+
+
+def _interior_point(W: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, bool, int]:
+    """Solve min <W, X> s.t. diag X = 1, X PSD by a primal-dual interior-point method.
+
+    The method and step rules of Helmberg, Rendl, Vanderbei and Wolkowicz
+    (SIAM J. Optim. 6(2), 1996), with the dual max -sum(y) s.t. Z = Diag(y) + W
+    PSD.  From X = I and a diagonally dominant Z, each step solves
+    (Z^-1 o X) dy = mu diag(Z^-1) - 1, which keeps diag X = 1, and takes
+    dX = sym(-Z^-1 Diag(dy) X + mu Z^-1 - X); ``_step_length`` picks the
+    primal and dual step lengths, and mu = <X, Z> / 2n is halved after a
+    step pair summing above 1.8.  Z stays positive definite, so the gap
+    sum(y) + <W, X> bounds how far <W, X> lies above the optimum: the solve
+    stops once it is at most tol (floor + |sum y|), and reports False after
+    FINISH_ITERATIONS iterations otherwise.  Returns X, that flag and the
+    iterations run.
+    """
+    n = W.shape[0]
+    X = np.eye(n)
+    y = 1.1 * np.abs(W).sum(axis=1) + floor
+    Z = np.diag(y) + W
+    diag = np.diag_indices(n)
+    mu = float(np.vdot(X, Z)) / (2 * n)
+    for iteration in range(1, FINISH_ITERATIONS + 1):
+        # both solves by eigh, which the module loads anyway: an LU solve would
+        # add its LAPACK code to the resident size of every process that finishes
+        lam, Q = np.linalg.eigh(Z)
+        Zi = (Q / lam) @ Q.T
+        Zi = (Zi + Zi.T) / 2
+        lam, Q = np.linalg.eigh(Zi * X)
+        dy = Q @ ((Q.T @ (mu * np.diagonal(Zi) - 1.0)) / lam)
+        dX = mu * Zi - X - (Zi * dy) @ X  # Zi * dy is Z^-1 Diag(dy)
+        dX = (dX + dX.T) / 2
+        alpha_p = _step_length(X, dX)
+        X += alpha_p * dX
+        alpha_d = _step_length(Z, np.diag(dy))
+        y += alpha_d * dy
+        Z[diag] += alpha_d * dy
+        mu = float(np.vdot(X, Z)) / (2 * n)
+        if alpha_p + alpha_d > 1.8:
+            mu /= 2
+        dual = float(y.sum())
+        if dual + float(np.vdot(W, X)) <= tol * (floor + abs(dual)):
+            return X, True, iteration
+    return X, False, FINISH_ITERATIONS
 
 
 @dataclass(frozen=True)
@@ -309,7 +402,11 @@ class DualExtraction:
     At a true optimum W - diag(diag_values) is PSD and annihilates the Gram
     matrix; ``psd_residual`` (most negative eigenvalue, >= -tol) and
     ``kkt_residual`` (max |P (W - D)|, <= tol) quantify how close this solve
-    got.  ``gap`` is |primal - dual|.
+    got.  ``gap`` is |primal - dual| = |sum P o W - sum diag(P W)|, which is
+    zero by the trace identity whatever P is: it shows rounding only, and
+    certifies nothing.  The dual shifted into feasibility, diag_values +
+    psd_residual, lies n * max(0, -psd_residual) below the primal value;
+    that is the gap this extraction certifies.
     """
 
     diag_values: np.ndarray

@@ -55,9 +55,9 @@ def test_criterion_08_spectral_certificate():
 
 def test_criterion_09_relaxation_battery():
     result = _check(acceptance.criterion_9)
-    assert result.details == {"pool": 200, "converged_pairs": 200, "bipolarity_checked": 200,
-                              "tolerance_escalations": 0, "c4_primal": -8.0, "k3_primal": -3.0,
-                              "k3_quad_form": -2.0}
+    assert result.details == {"pool": 200, "converged_pairs": 200, "finished_solves": 80,
+                              "bipolarity_checked": 200, "tolerance_escalations": 0,
+                              "c4_primal": -8.0, "k3_primal": -3.0, "k3_quad_form": -2.0}
 
 
 def test_criterion_10_locally_stable_counts():

@@ -5,7 +5,7 @@ import pytest
 
 import stablecut as sc
 from stablecut import spectral
-from stablecut.acceptance import gw_pool
+from stablecut.acceptance import DEFAULT_SEED, gw_pool
 from stablecut.errors import ParameterError, PreconditionError, SolverFailure
 from stablecut.spectral import binary_shift, eig_zero_tol, spectral_threshold, weight_scale
 
@@ -162,15 +162,17 @@ def test_primal_deterministic_per_seed(c4):
 
 
 def _reference_primal(inst, rank=None, max_sweeps=100_000, tol=1e-10, seed=0):
-    """The row-by-row loop gw_primal_solve replaced: an einsum objective,
-    np.linalg.norm and V[i] = -g / norm.  Kept to pin the fast loop's iterates."""
+    """The row-by-row mixing loop, with no sweep limit and no finish: an einsum
+    objective, np.linalg.norm and V[i] = -g / norm.  Kept to pin the fast loop's
+    iterates and, run to convergence, to judge the finish's values."""
     n = inst.n
     r = n if rank is None else rank
     W = inst.weights
     rng = np.random.default_rng(seed)
     V = rng.normal(size=(n, r))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    stall = 1e-13 * max(1.0, float(W.max()))
+    floor = min(1.0, float(W.sum()))
+    stall = 1e-13 * float(W.max())
     prev = float(np.einsum("ij,jk,ik->", W, V, V))
     converged = False
     sweeps = 0
@@ -181,12 +183,26 @@ def _reference_primal(inst, rank=None, max_sweeps=100_000, tol=1e-10, seed=0):
             if norm > stall:
                 V[i] = -g / norm
         value = float(np.einsum("ij,jk,ik->", W, V, V))
-        if abs(value - prev) <= tol * (1.0 + abs(value)):
+        if abs(value - prev) <= tol * (floor + abs(value)):
             converged = True
             prev = value
             break
         prev = value
     return V, V @ V.T, prev, converged, sweeps
+
+
+def _certified_gap(inst, gram):
+    """How far the dual extracted from ``gram``, shifted into feasibility, lies below
+    the primal value: n * max(0, -psd_residual), the extracted gap being zero."""
+    return inst.n * max(0.0, -sc.gw_dual_extract(inst, gram).psd_residual)
+
+
+def _assert_same_iterates(sol, inst, kw):
+    V, gram, value, converged, sweeps = _reference_primal(inst, **kw)
+    assert sol.vectors.tobytes() == V.tobytes()
+    assert sol.gram.tobytes() == gram.tobytes()
+    assert (sol.sweeps, sol.converged, sol.finish_iterations) == (sweeps, converged, 0)
+    assert abs(sol.primal_value - value) <= 1e-13 * max(1.0, abs(value))
 
 
 def test_primal_iterates_match_reference_loop():
@@ -205,6 +221,7 @@ def test_primal_iterates_match_reference_loop():
     runs += [(snd, {"seed": 5, "rank": 2}), (snd, {"seed": 6, "rank": 3})]
 
     sols = []
+    finished = 0
     seen = set()
     for inst, kw in runs:
         key = (inst.weights.tobytes(), tuple(sorted(kw.items())))
@@ -212,16 +229,104 @@ def test_primal_iterates_match_reference_loop():
             continue
         seen.add(key)
         sol = sc.gw_primal_solve(inst, **kw)
-        V, gram, value, converged, sweeps = _reference_primal(inst, **kw)
-        assert sol.vectors.tobytes() == V.tobytes()
-        assert sol.gram.tobytes() == gram.tobytes()
-        assert (sol.sweeps, sol.converged) == (sweeps, converged)
-        assert abs(sol.primal_value - value) <= 1e-13 * max(1.0, abs(value))
         sols.append(sol)
-    # the pool reaches both ends: long solves and a truncated one
-    assert max(sol.sweeps for sol in sols) >= 300
+        if sol.finish_iterations == 0:  # mixing converged, or max_sweeps cut it short
+            _assert_same_iterates(sol, inst, kw)
+            continue
+        # finished: the mixing phase is the reference's first MIXING_SWEEPS sweeps ...
+        finished += 1
+        assert sol.sweeps == spectral.MIXING_SWEEPS and sol.converged
+        truncated = {**kw, "max_sweeps": spectral.MIXING_SWEEPS}
+        mixing = sc.gw_primal_solve(inst, **truncated)
+        _assert_same_iterates(mixing, inst, truncated)
+        assert not mixing.converged
+        # ... and the finish reaches the value the reference converges to, certified
+        _, _, value, converged, sweeps = _reference_primal(inst, **kw)
+        assert converged and sweeps > spectral.MIXING_SWEEPS
+        scale = weight_scale(inst.weights)
+        assert abs(sol.primal_value - value) <= 1e-7 * scale
+        assert _certified_gap(inst, sol.gram) <= 1e-8 * scale
+        assert sol.vectors.shape == (inst.n, inst.n)
+    # the pool reaches both ends: finished solves and a truncated one
+    assert finished >= 20
     truncated = sols[-4]
     assert truncated.sweeps == 3 and not truncated.converged
+
+
+# name -> weights of the instances solved at every scale below
+SCALED = {
+    "snd6": lambda: sc.gen_infinite_stable_not_distinguished(6, 1e-3).instance.weights,
+    "pp16": lambda: sc.gen_planted_partition(16, 0.9, 0.2, 3).instance.weights,
+    "eu12": lambda: sc.gen_euclidean_metric(12, 2, 2.0, 5).instance.weights,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_primal_is_scale_invariant(name):
+    # both stop rules scale with the weights: an absolute floor of 1 once
+    # stopped tiny weights after one sweep, converged=True, far above the optimum
+    W = SCALED[name]()
+    base = sc.gw_primal_solve(sc.Instance(W), seed=1)
+    assert base.converged
+    for c in (1e-100, 1e-12, 1e-6, 1.0, 1e6, 1e100):
+        sol = sc.gw_primal_solve(sc.Instance(c * W), seed=1)
+        assert sol.converged
+        assert abs(sol.primal_value - c * base.primal_value) <= 1e-9 * abs(c * base.primal_value)
+
+
+def test_finish_step_length():
+    eye = np.eye(3)
+    assert spectral._step_length(eye, -0.5 * eye) == 1.0  # a full step stays inside
+    # I - 2a I is positive definite first at a = 0.8**4; the step stops 0.95 of the way
+    assert spectral._step_length(eye, -2.0 * eye) == pytest.approx(0.95 * 0.8**4, rel=1e-12)
+    tight = spectral._step_length(np.diag([1.0, 1e-3]), np.diag([0.0, -1.0]))
+    assert tight == pytest.approx(0.95 * 0.8**31, rel=1e-12)
+    assert spectral._step_length(-eye, eye) == 0.0  # no step reaches the cone
+
+
+def test_interior_point_finish(c4, k3, c4_maxcut):
+    strong = sc.strongly_bipolar_perturb(c4, c4_maxcut, 0.1)
+    cases = [c4, k3, strong, sc.gen_matching_epsilon(3, 0.1), sc.gen_matching_epsilon(5, 0.3)]
+    cases += [sc.gen_infinite_stable_not_distinguished(k, 1e-3).instance for k in range(4, 9)]
+    cases += [sc.gen_tightness_example(k).instance for k in (2, 3, 4)]
+    for inst in cases:
+        W = inst.weights
+        scale = weight_scale(W)
+        X, converged, iterations = spectral._interior_point(W, 1e-10, min(1.0, float(W.sum())))
+        assert converged and 0 < iterations < spectral.FINISH_ITERATIONS
+        assert np.array_equal(X, X.T)
+        assert np.abs(np.diagonal(X) - 1.0).max() <= 1e-12
+        assert np.linalg.eigvalsh(X)[0] > 0.0  # interior: X stays positive definite
+        assert _certified_gap(inst, X) <= 1e-8 * scale
+        _, _, value, ref_converged, _ = _reference_primal(inst)
+        assert ref_converged and abs(float(np.vdot(W, X)) - value) <= 1e-7 * scale
+    # the strongly bipolar c4 has the rank-one optimum delta delta^T alone
+    X = spectral._interior_point(strong.weights, 1e-10, 1.0)[0]
+    assert np.abs(X - np.outer(c4_maxcut.delta, c4_maxcut.delta)).max() <= 1e-6
+
+    # a solve that reaches the finish returns X as the Gram matrix of n-column vectors
+    snd = sc.gen_infinite_stable_not_distinguished(6, 1e-3).instance
+    sol = sc.gw_primal_solve(snd, rank=2, seed=5)
+    X, converged, iterations = spectral._interior_point(snd.weights, 1e-10, 1.0)
+    assert (sol.sweeps, sol.finish_iterations, sol.converged) == (
+        spectral.MIXING_SWEEPS, iterations, converged)
+    assert sol.gram.tobytes() == X.tobytes()
+    assert sol.primal_value == float(np.vdot(snd.weights, X))
+    assert sol.vectors.shape == (snd.n, snd.n)
+    assert np.abs(sol.vectors @ sol.vectors.T - X).max() <= 1e-12
+
+
+def test_finished_solves_of_criterion_9_pool_are_certified():
+    seed = DEFAULT_SEED
+    finished = 0
+    for idx, inst in enumerate(gw_pool(seed, 200)):
+        scale = weight_scale(inst.weights)
+        for s in (seed + 2 * idx, seed + 2 * idx + 1):
+            sol = sc.gw_primal_solve(inst, seed=s, max_sweeps=20_000)
+            if sol.finish_iterations:
+                finished += 1
+                assert sol.converged and _certified_gap(inst, sol.gram) <= 1e-8 * scale
+    assert finished == 80
 
 
 def test_dual_extraction_exact_grams(c4, k3, c4_maxcut):
