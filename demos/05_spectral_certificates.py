@@ -37,17 +37,19 @@ print("\nK3 spectrum:", np.round(k3_bundle.eigenvalues, 6),
 # Relaxation: block-coordinate descent on unit vectors, dual extraction,
 # hyperplane rounding.  On the 4-cycle the optimum is the rank-one +/-1
 # Gram matrix with value -8 and dual -2I.
-sol = sc.gw_solve(c4, seed=0, trials=8)
+sol = sc.gw_primal_solve(c4, seed=0)
+ext = sc.gw_dual_extract(c4, sol.gram)
 print("\nC4 relaxation: primal", round(sol.primal_value, 9),
-      "dual", np.round(sol.dual_diag, 9), "gap", sol.gap)
-print("rounded cut weight:", sol.rounded_weight)
+      "dual", np.round(ext.diag_values, 9), "gap", ext.gap)
+print("rounded cut weight:", sc.gw_round(c4, sol.vectors, seed=0, trials=8).weight)
 
-sol3 = sc.gw_solve(k3, seed=0, trials=32)
+sol3 = sc.gw_primal_solve(k3, seed=0)
 print("K3 relaxation: primal", round(sol3.primal_value, 6),
       "(strictly below the best binary value -2) -> rounding gives",
-      sol3.rounded_weight)
+      sc.gw_round(k3, sol3.vectors, seed=0, trials=32).weight)
 
-# Four equivalent readings of "the relaxation optimum is this cut":
+# Four equivalent readings of "the relaxation optimum is this cut", all
+# taken from the same W + D' (the report's bundle):
 print("\nbipolarity on C4:", sc.bipolarity_check(c4, maxcut).conditions)
 print("bipolarity on K3:", sc.bipolarity_check(k3, sc.Cut([True, False, False])).conditions)
 

@@ -79,7 +79,6 @@ from .spectral import (
     gw_dual_extract,
     gw_primal_solve,
     gw_round,
-    gw_solve,
     psd_rank_certificate,
     strongly_bipolar_perturb,
 )

@@ -44,8 +44,6 @@ from .oracle import (
 from .spectral import (
     bipolarity_check,
     build_spectral_bundle,
-    binary_shift,
-    eig_zero_tol,
     gw_dual_extract,
     gw_primal_solve,
     psd_rank_certificate,
@@ -556,15 +554,14 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     ext3 = gw_dual_extract(k3, sol3.gram)
     ok = ok and abs(sol3.primal_value + 3.0) <= 1e-3 and bool(
         np.abs(ext3.diag_values + 1.0).max() <= 1e-3)
-    d3 = binary_shift(k3, k3_cut)
     u = np.array([0.0, 1.0, -1.0])
-    quad = float(u @ (k3.weights + np.diag(d3)) @ u)
+    quad = float(u @ build_spectral_bundle(k3, k3_cut).shifted @ u)
     ok = ok and abs(quad + 2.0) <= 1e-12
     ok = ok and not bipolarity_check(k3, k3_cut, seed=seed).bipolar
 
     strong = strongly_bipolar_perturb(c4, c4_cut, 0.1)
     sb = build_spectral_bundle(strong, c4_cut)
-    ok = ok and sb.eigenvalues[1] > eig_zero_tol(sb.shifted)
+    ok = ok and sb.eigenvalues[1] > sb.tol
     target = np.outer(c4_cut.delta, c4_cut.delta)
     for s in range(5):
         g = gw_primal_solve(strong, seed=seed + s)

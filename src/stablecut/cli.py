@@ -48,11 +48,10 @@ from .oracle import (
 )
 from .spectral import (
     bipolarity_check,
-    build_spectral_bundle,
     distinguished_condition,
     gw_dual_extract,
     gw_primal_solve,
-    gw_solve,
+    gw_round,
     psd_rank_certificate,
     weight_scale,
 )
@@ -174,10 +173,11 @@ def _cmd_solve(args) -> int:
         verdicts["repetitions"] = reps
         cut = spanning_tree_solve(inst, seed=args.seed, repetitions=reps)
     elif args.algo == "gw":
-        sol = gw_solve(inst, seed=args.seed, trials=args.trials)
-        cut = sol.rounded_cut
-        verdicts.update(converged=sol.converged, duality_gap=sol.gap,
-                        psd_residual=sol.psd_residual, kkt_residual=sol.kkt_residual)
+        sol = gw_primal_solve(inst, seed=args.seed)
+        ext = gw_dual_extract(inst, sol.gram)
+        cut = gw_round(inst, sol.vectors, seed=args.seed, trials=args.trials).cut
+        verdicts.update(converged=sol.converged, duality_gap=ext.gap,
+                        psd_residual=ext.psd_residual, kkt_residual=ext.kkt_residual)
     else:
         raise StableCutError(f"unknown algorithm {args.algo}")
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -233,13 +233,11 @@ def _cmd_verify(args) -> int:
 def _cmd_certify(args) -> int:
     inst = load_instance(args.instance)
     cut = load_cut(args.cut)
-    bundle = build_spectral_bundle(inst, cut)
-    verdict = psd_rank_certificate(bundle)
     dist = distinguished_condition(inst, cut)
     bipolar = bipolarity_check(inst, cut, seed=args.seed)
     _emit({
-        "psd_rank_certificate": verdict,
-        "eigenvalues": bundle.eigenvalues,
+        "psd_rank_certificate": psd_rank_certificate(bipolar.bundle),
+        "eigenvalues": bipolar.bundle.eigenvalues,
         "gamma_local": dist.gamma_local,
         "alpha": dist.alpha,
         "cut_cheeger": dist.cut_cheeger,

@@ -5,7 +5,9 @@ let D^cut/D^uncut be the corresponding diagonal row-sum matrices, and set
 D' = D^cut - D^uncut.  Then (W + D') delta = 0 always, and when the cut is
 locally stable enough relative to the expansion of its cut edges, W + D' is
 positive semidefinite with rank n-1 — a certificate that pins the maximum
-cut down to the sign pattern of the kernel.
+cut down to the sign pattern of the kernel.  ``build_spectral_bundle`` is
+the one place W + D' and its spectrum are formed; the PSD certificate, the
+bipolarity battery and the strongly bipolar perturbation all read it.
 
 The relaxation side solves
 
@@ -17,15 +19,16 @@ not converged by then is finished by a primal-dual interior-point method on
 the Gram matrix, whose dual iterate certifies the gap.  The pipeline then
 extracts the unique dual diagonal from the solved Gram matrix and rounds
 with random hyperplanes.  A cut whose rank-one +/-1 Gram matrix attains the
-relaxation optimum is called bipolar here; the four equivalent
-characterizations are evaluated independently by ``bipolarity_check``.
+relaxation optimum is called bipolar here, which happens exactly when
+W + D' is PSD; the four equivalent characterizations are evaluated
+independently by ``bipolarity_check``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,21 +67,20 @@ def weight_scale(W: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SpectralBundle:
-    """Cut/uncut decomposition of an instance at a cut, with the spectrum of W + D'.
+    """W + D' at a cut with its spectrum: the one place the shift is formed.
 
-    Diagonal matrices are stored as vectors.  ``kernel_vector`` is the
-    eigenvector of the smallest eigenvalue when that eigenvalue is
-    numerically zero, else None.
+    ``cut_part`` is W on the separated pairs (zero elsewhere) and ``shift``
+    the diagonal of D' = D^cut - D^uncut, stored as a vector, so that
+    ``shifted`` = W + D' annihilates ``delta``.  ``tol`` is
+    eig_zero_tol(shifted).  ``kernel_vector`` is the eigenvector of the
+    smallest eigenvalue when that eigenvalue is numerically zero, else None.
     """
 
     delta: np.ndarray
     cut_part: np.ndarray
-    uncut_part: np.ndarray
-    d_cut: np.ndarray
-    d_uncut: np.ndarray
-    d: np.ndarray
-    d_prime: np.ndarray
+    shift: np.ndarray
     shifted: np.ndarray
+    tol: float
     eigenvalues: np.ndarray
     kernel_vector: np.ndarray | None
 
@@ -95,18 +97,13 @@ def _cut_part(inst: Instance, cut: Cut) -> np.ndarray:
 def build_spectral_bundle(inst: Instance, cut: Cut) -> SpectralBundle:
     cut_part = _cut_part(inst, cut)
     W = inst.weights
-    delta = cut.delta
-    uncut_part = W - cut_part
-    d_cut = cut_part.sum(axis=1)
-    d_uncut = uncut_part.sum(axis=1)
-    d_prime = d_cut - d_uncut
-    shifted = W + np.diag(d_prime)
+    shift = cut_part.sum(axis=1) - (W - cut_part).sum(axis=1)
+    shifted = W + np.diag(shift)
+    tol = eig_zero_tol(shifted)
     eigenvalues, vectors = np.linalg.eigh(shifted)
-    kernel = vectors[:, 0] if abs(eigenvalues[0]) <= eig_zero_tol(shifted) else None
-    return SpectralBundle(delta=delta, cut_part=cut_part, uncut_part=uncut_part,
-                          d_cut=d_cut, d_uncut=d_uncut, d=d_cut + d_uncut,
-                          d_prime=d_prime, shifted=shifted,
-                          eigenvalues=eigenvalues, kernel_vector=kernel)
+    kernel = vectors[:, 0] if abs(eigenvalues[0]) <= tol else None
+    return SpectralBundle(delta=cut.delta, cut_part=cut_part, shift=shift, shifted=shifted,
+                          tol=tol, eigenvalues=eigenvalues, kernel_vector=kernel)
 
 
 def psd_rank_certificate(bundle: SpectralBundle) -> str:
@@ -116,7 +113,7 @@ def psd_rank_certificate(bundle: SpectralBundle) -> str:
     (kernel dimension above one, or a kernel whose sign pattern does not
     match the cut).
     """
-    tol = eig_zero_tol(bundle.shifted)
+    tol = bundle.tol
     ev = bundle.eigenvalues
     if ev[0] < -tol:
         return "not-psd"
@@ -239,9 +236,9 @@ def glev_scaling_perturbation(inst: Instance, v) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GwSolution:
-    """State of one relaxation solve; dual and rounding fields are filled lazily.
+    """Result of one relaxation solve.
 
     ``sweeps`` counts mixing sweeps and ``finish_iterations`` the
     interior-point iterations after them: 0 when mixing converged or
@@ -254,13 +251,6 @@ class GwSolution:
     converged: bool
     sweeps: int
     finish_iterations: int = 0
-    dual_diag: np.ndarray | None = None
-    dual_value: float | None = None
-    gap: float | None = None
-    psd_residual: float | None = None
-    kkt_residual: float | None = None
-    rounded_cut: Cut | None = None
-    rounded_weight: float | None = None
 
 
 def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 100_000,
@@ -481,57 +471,27 @@ def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 3
     return best
 
 
-def gw_solve(inst: Instance, seed: int = 0, trials: int = 32) -> GwSolution:
-    """Primal solve + dual extraction + hyperplane rounding in one call."""
-    sol = gw_primal_solve(inst, seed=seed)
-    ext = gw_dual_extract(inst, sol.gram)
-    sol.dual_diag = ext.diag_values
-    sol.dual_value = ext.dual_value
-    sol.gap = ext.gap
-    sol.psd_residual = ext.psd_residual
-    sol.kkt_residual = ext.kkt_residual
-    rounding = gw_round(inst, sol.vectors, seed=seed, trials=trials)
-    sol.rounded_cut = rounding.cut
-    sol.rounded_weight = rounding.weight
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # Bipolarity: four equivalent ways to say "the relaxation optimum is the cut".
 # ---------------------------------------------------------------------------
-
-
-def binary_shift(inst: Instance, cut: Cut) -> np.ndarray:
-    """The canonical diagonal for a cut: d_i = -delta_i * (W delta)_i.
-
-    W + diag(d) always annihilates delta; it is PSD exactly when the cut
-    attains the relaxation optimum.  At a cut this equals D' from the
-    spectral bundle.
-    """
-    if cut.n != inst.n:
-        raise ParameterError("cut size mismatch")
-    delta = cut.delta
-    return -delta * (inst.weights @ delta)
 
 
 @dataclass(frozen=True)
 class BipolarityReport:
     """Independent verdicts for the four equivalent bipolarity conditions.
 
+    All four read W + D' from ``bundle``:
     primal_attains_binary: the solved relaxation value equals delta^T W delta.
-    kernel_sign_glev: delta spans a zero eigenvector of W + diag(shift) whose
+    kernel_sign_glev: delta spans a zero eigenvector of W + D' whose
         eigenvalue is the least one.
-    psd_shift: W + diag(shift) is PSD.
-    dual_matches: the extracted dual diagonal equals -shift.
+    psd_shift: W + D' is PSD.
+    dual_matches: the extracted dual diagonal equals -D'.
     """
 
-    shift: np.ndarray
+    bundle: SpectralBundle
     binary_value: float
     primal_value: float
-    dual_diag: np.ndarray
-    eigenvalues: np.ndarray
-    conditions: dict = field(default_factory=dict)
-    tolerance_scale: float = 1.0
+    conditions: dict
 
     @property
     def agree(self) -> bool:
@@ -552,12 +512,11 @@ def bipolarity_check(inst: Instance, cut: Cut, seed: int = 0,
     every tolerance for borderline spectra; escalation is for reporting,
     never silent.
     """
+    bundle = build_spectral_bundle(inst, cut)
     W = inst.weights
-    delta = cut.delta
-    d = binary_shift(inst, cut)
-    M = W + np.diag(d)
-    tol = eig_zero_tol(M) * tol_scale
-    eigenvalues = np.linalg.eigh(M)[0]
+    delta = bundle.delta
+    tol = bundle.tol * tol_scale
+    least = bundle.eigenvalues[0]
     scale = weight_scale(W)
     binary_value = float(delta @ W @ delta)
 
@@ -568,14 +527,12 @@ def bipolarity_check(inst: Instance, cut: Cut, seed: int = 0,
         "primal_attains_binary": bool(
             sol.converged and abs(sol.primal_value - binary_value) <= 1e-6 * scale * tol_scale),
         "kernel_sign_glev": bool(
-            abs(eigenvalues[0]) <= tol and np.abs(M @ delta).max() <= tol),
-        "psd_shift": bool(eigenvalues[0] >= -tol),
-        "dual_matches": bool(np.abs(ext.diag_values + d).max() <= 1e-4 * scale * tol_scale),
+            abs(least) <= tol and np.abs(bundle.shifted @ delta).max() <= tol),
+        "psd_shift": bool(least >= -tol),
+        "dual_matches": bool(np.abs(ext.diag_values + bundle.shift).max() <= 1e-4 * scale * tol_scale),
     }
-    return BipolarityReport(shift=d, binary_value=binary_value,
-                            primal_value=sol.primal_value, dual_diag=ext.diag_values,
-                            eigenvalues=eigenvalues, conditions=conditions,
-                            tolerance_scale=tol_scale)
+    return BipolarityReport(bundle=bundle, binary_value=binary_value,
+                            primal_value=sol.primal_value, conditions=conditions)
 
 
 def strongly_bipolar_perturb(inst: Instance, cut: Cut, eps: float) -> Instance:
@@ -588,12 +545,9 @@ def strongly_bipolar_perturb(inst: Instance, cut: Cut, eps: float) -> Instance:
     """
     if eps < 0.0:
         raise ParameterError("eps must be >= 0")
-    d = binary_shift(inst, cut)
-    M = inst.weights + np.diag(d)
-    if float(np.linalg.eigvalsh(M)[0]) < -eig_zero_tol(M):
+    bundle = build_spectral_bundle(inst, cut)
+    if bundle.eigenvalues[0] < -bundle.tol:
         raise PreconditionError("cut is not bipolar for this instance")
     if eps == 0.0:
         return inst
-    delta = cut.delta
-    separated = delta[:, None] * delta[None, :] < 0
-    return Instance(inst.weights * np.where(separated, 1.0 + eps, 1.0))
+    return Instance(inst.weights * np.where(bundle.cut_part > 0, 1.0 + eps, 1.0))

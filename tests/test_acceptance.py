@@ -50,7 +50,9 @@ def test_criterion_07_spanning_tree():
 
 
 def test_criterion_08_spectral_certificate():
-    _check(acceptance.criterion_8)
+    result = _check(acceptance.criterion_8)
+    assert result.details == {"qualified": 64, "c4_threshold": 14.9282032303,
+                              "c4_spectrum_ok": True}
 
 
 def test_criterion_09_relaxation_battery():

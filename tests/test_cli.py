@@ -12,6 +12,7 @@ import pytest
 import stablecut as sc
 from stablecut import stable
 from stablecut.cli import main
+from stablecut.errors import PreconditionError
 
 
 def run(capsys, *argv):
@@ -329,3 +330,33 @@ def test_python_m_stablecut_runs_from_a_checkout(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["n"] == sc.load_instance(out_path).n == 8
+
+
+
+def test_spectral_outputs_on_float_weights_are_pinned(tmp_path, capsys):
+    # certify --spectral, solve --algo gw and the strongly bipolar weights at the
+    # maximum cut, bit for bit, on float weights, where the rounding of W + D'
+    # shows in the printed digits; eu3's cut is not bipolar, so its perturbation raises
+    instances = [("eu1", sc.gen_euclidean_metric(8, 1, 2.0, 1).instance),
+                 ("eu2", sc.gen_euclidean_metric(10, 2, 10.0, 2).instance),
+                 ("eu3", sc.gen_euclidean_metric(12, 3, 2.0, 3).instance),
+                 ("bn4", sc.gen_stable_bipartite_noise(10, 4.0, 4).instance),
+                 ("bn20", sc.gen_stable_bipartite_noise(12, 20.0, 5).instance),
+                 ("snd4", sc.gen_infinite_stable_not_distinguished(4, 1e-3).instance),
+                 ("snd6", sc.gen_infinite_stable_not_distinguished(6, 1e-3).instance)]
+    h = hashlib.sha256()
+    for name, inst in instances:
+        path, cut_path = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.cut.json")
+        sc.save_instance(inst, path)
+        cut, _, _ = sc.brute_force_maxcut(inst)
+        sc.save_cut(cut, cut_path)
+        code, certify = run(capsys, "certify", path, cut_path, "--spectral", "--seed", "7")
+        assert code == 0
+        code, solve = run(capsys, "solve", path, "--algo", "gw", "--seed", "7")
+        assert code == 0
+        try:
+            perturbed = sc.strongly_bipolar_perturb(inst, cut, 0.1).weights.tobytes()
+        except PreconditionError:
+            perturbed = b"not bipolar"
+        h.update(certify.encode() + solve.replace(path, name).encode() + perturbed)
+    assert h.hexdigest() == "de15576a75cfd0ebfd633e26effad43d29d91d6083dec56e05df31b7a992a38f"

@@ -7,7 +7,7 @@ import stablecut as sc
 from stablecut import spectral
 from stablecut.acceptance import DEFAULT_SEED, gw_pool
 from stablecut.errors import ParameterError, PreconditionError, SolverFailure
-from stablecut.spectral import binary_shift, eig_zero_tol, spectral_threshold, weight_scale
+from stablecut.spectral import eig_zero_tol, spectral_threshold, weight_scale
 
 from conftest import random_cut, random_instance
 
@@ -21,15 +21,15 @@ INF = math.inf
 
 def test_bundle_c4(c4, c4_maxcut):
     b = sc.build_spectral_bundle(c4, c4_maxcut)
-    assert b.uncut_part.max() == 0.0
-    assert np.array_equal(b.d_prime, [2.0, 2.0, 2.0, 2.0])
+    assert np.array_equal(b.cut_part, c4.weights)  # every edge is cut
+    assert np.array_equal(b.shift, [2.0, 2.0, 2.0, 2.0])
     assert np.abs(b.eigenvalues - [0.0, 2.0, 2.0, 4.0]).max() <= 1e-8
     assert sc.psd_rank_certificate(b) == "certified"
 
 
 def test_bundle_k3(k3):
     b = sc.build_spectral_bundle(k3, sc.Cut([True, False, False]))
-    assert np.array_equal(b.d_prime, [2.0, 0.0, 0.0])
+    assert np.array_equal(b.shift, [2.0, 0.0, 0.0])
     assert b.eigenvalues[0] < -1e-6
     assert sc.psd_rank_certificate(b) == "not-psd"
 
@@ -53,9 +53,13 @@ def test_bundle_decomposition_identities():
         inst = random_instance(rng, 7)
         cut = random_cut(rng, 7)
         b = sc.build_spectral_bundle(inst, cut)
-        assert np.array_equal(b.cut_part + b.uncut_part, inst.weights)
-        assert np.array_equal(b.d, b.d_cut + b.d_uncut)
-        assert np.array_equal(b.d_cut, b.cut_part.sum(axis=1))
+        W, delta = inst.weights, cut.delta
+        separated = np.not_equal.outer(cut.side, cut.side)
+        assert np.array_equal(b.cut_part, np.where(separated, W, 0.0))
+        assert np.array_equal(b.shifted, W + np.diag(b.shift))
+        assert b.tol == eig_zero_tol(b.shifted)
+        # D' = D^cut - D^uncut is the canonical diagonal -delta o (W delta)
+        assert np.allclose(b.shift, -delta * (W @ delta))
         # the cut sign vector is annihilated exactly (row identity)
         scale = 1.0 + np.abs(b.shifted).max()
         assert np.abs(b.shifted @ b.delta).max() <= 1e-12 * scale
@@ -442,9 +446,10 @@ def test_rounding_matches_reference_loop():
 def test_rounding_projection_lies_in_dual_kernel(c4):
     # u = V v is a combination of Gram columns, hence in ker(W - D) at
     # optimality; the first-order solve leaves O(sqrt(kkt)) vector error
-    sol = sc.gw_solve(c4, seed=2, trials=8)
-    assert sol.gap < 1e-6 * weight_scale(c4.weights)
-    A = c4.weights - np.diag(sol.dual_diag)
+    sol = sc.gw_primal_solve(c4, seed=2)
+    ext = sc.gw_dual_extract(c4, sol.gram)
+    assert ext.gap < 1e-6 * weight_scale(c4.weights)
+    A = c4.weights - np.diag(ext.diag_values)
     r = sc.gw_round(c4, sol.vectors, seed=5, trials=4)
     tol = 1e-4 * (1.0 + np.abs(c4.weights).max())
     assert np.linalg.norm(A @ r.projection) <= tol * np.linalg.norm(r.projection)
@@ -458,15 +463,15 @@ def test_rounding_projection_lies_in_dual_kernel(c4):
 def test_bipolarity_worked_examples(c4, k3, c4_maxcut):
     rep = sc.bipolarity_check(c4, c4_maxcut, seed=0)
     assert rep.bipolar and rep.agree
-    assert np.array_equal(rep.shift, [2.0, 2.0, 2.0, 2.0])
+    assert np.array_equal(rep.bundle.shift, [2.0, 2.0, 2.0, 2.0])
     assert rep.binary_value == -8.0
 
     cut3 = sc.Cut([True, False, False])
     rep = sc.bipolarity_check(k3, cut3, seed=0)
     assert not rep.bipolar and rep.agree
-    assert np.array_equal(rep.shift, [2.0, 0.0, 0.0])
+    assert np.array_equal(rep.bundle.shift, [2.0, 0.0, 0.0])
     u = np.array([0.0, 1.0, -1.0])
-    quad = u @ (k3.weights + np.diag(rep.shift)) @ u
+    quad = u @ rep.bundle.shifted @ u
     assert quad == -2.0
 
 
@@ -524,8 +529,8 @@ def test_scaling_equivalence_with_least_eigenvector_shift():
         M1 = W + np.diag(shift_v)
         psd1 = np.linalg.eigvalsh(M1)[0] >= -eig_zero_tol(M1)
         scaled = sc.glev_scaling_perturbation(inst, v)
-        M2 = scaled.weights + np.diag(binary_shift(scaled, sc.Cut(side)))
-        psd2 = np.linalg.eigvalsh(M2)[0] >= -eig_zero_tol(M2)
+        b = sc.build_spectral_bundle(scaled, sc.Cut(side))
+        psd2 = b.eigenvalues[0] >= -b.tol
         assert psd1 == psd2
 
 
@@ -539,8 +544,8 @@ def test_glev_condition_certifies_oracle_optimum():
         inst = planted.instance
         opt, _, _ = sc.brute_force_maxcut(inst)
         gamma = sc.cut_stability_gamma(inst, opt)
-        sol = sc.gw_solve(inst, seed=seed, trials=8)
-        if sol.gap > 1e-6 * weight_scale(inst.weights):
+        sol = sc.gw_primal_solve(inst, seed=seed)
+        if sc.gw_dual_extract(inst, sol.gram).gap > 1e-6 * weight_scale(inst.weights):
             continue
         r = sc.gw_round(inst, sol.vectors, seed=seed, trials=8)
         if (r.projection == 0.0).any():
@@ -564,12 +569,3 @@ def test_alpha_below_cut_edge_cheeger():
         bundle = sc.build_spectral_bundle(inst, cut)
         _, _, h_cut = subset_scan_minima(bundle.cut_part, None)
         assert alpha <= h_cut + 1e-9
-
-
-def test_binary_shift_matches_bundle_diagonal():
-    rng = np.random.default_rng(37)
-    for _ in range(5):
-        inst = random_instance(rng, 6)
-        cut = random_cut(rng, 6)
-        assert np.allclose(binary_shift(inst, cut),
-                           sc.build_spectral_bundle(inst, cut).d_prime)
