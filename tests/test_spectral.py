@@ -569,3 +569,14 @@ def test_alpha_below_cut_edge_cheeger():
         bundle = sc.build_spectral_bundle(inst, cut)
         _, _, h_cut = subset_scan_minima(bundle.cut_part, None)
         assert alpha <= h_cut + 1e-9
+
+
+def test_binary_shift_matches_bundle_diagonal():
+    # the canonical diagonal d_i = -delta_i * (W delta)_i is the bundle's D'
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        inst = random_instance(rng, 6)
+        cut = random_cut(rng, 6)
+        binary_shift = -cut.delta * (inst.weights @ cut.delta)
+        assert np.allclose(binary_shift,
+                           sc.build_spectral_bundle(inst, cut).shift)
