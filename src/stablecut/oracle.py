@@ -17,14 +17,25 @@ into one augmented GEMM per chunk of high patterns: left rows
 [cross_f[a] | hi_f[a] | e_f] times right columns [bits_lo[b]; 1; lo_1[b] ...
 lo_F[b]], written into buffers allocated once per scan.  A scan therefore
 costs O(n 2^n) rather than the O(n^2 2^n) of forming W @ sides.  The layout
-also owns the chunk boundaries (up to 2^14 masks each), the excluded all-ones
-mask and the size caps (``SCAN_MAX_N`` for subset scans and enumeration,
-``MAXCUT_MAX_N`` for the max-cut scan), and it reads side vectors, such as
-the blocks ``cut_sides`` yields, off cached bit tables.
+also owns the chunk boundaries (2^14 masks each, but at least 8 high
+patterns, or all of them, so that n = 28 runs 1,024 chunks and not 8,192),
+the excluded all-ones mask and the size caps (``SCAN_MAX_N`` for subset
+scans and enumeration, ``MAXCUT_MAX_N`` for the max-cut scan), and it reads
+side vectors, such as the blocks ``cut_sides`` yields, off cached bit tables.
 
 On top of it sit one per-vertex xi/iota helper for single cuts and blocks,
 and the 0/0 -> +inf ratio convention.  The maximum cut is found in a single pass
 that also counts the ties.
+
+The enumeration of locally stable cuts tests no mask one by one.  A stable
+vertex x has xi(x) >= theta_x, a bound from gamma, mu_x and the tolerances,
+and (W chi)[x] = H[x, a] + L[x, b] is a linear form.  Where a fixes the side
+of x (vertex 0 and the high block), the admissible b for each a are a prefix
+of L[x, :] in sorted order or its complement: one row of a per-vertex table
+of packed prefix bitsets, picked by ``searchsorted``.  The low block gives
+sets of a for each b in the same way.  The AND of the row sets and of the
+column sets, combined chunk by chunk, leaves a few candidate masks, and the
+exact per-vertex test then decides each of them.
 """
 
 from __future__ import annotations
@@ -66,21 +77,21 @@ class _Scan:
         if n > max_n:
             raise SizeLimitError(f"exhaustive scan capped at n <= {max_n}, got {n}")
         self.n = n
-        h = (n - 1) // 2
+        self.h = h = (n - 1) // 2
         self.l = n - 1 - h
         self.hi = slice(1, 1 + h)
         self.lo = slice(1 + h, n)
         self.bits_hi = _bit_table(h)
         self.bits_lo = _bit_table(self.l)
         self.count = (1 << (n - 1)) - 1  # the all-ones mask (S = V) is excluded
-        self.rows = max(1, _CHUNK >> self.l)  # high patterns per chunk
+        self.rows = max(min(8, 1 << h), _CHUNK >> self.l)  # high patterns per chunk
+        self.step = self.rows << self.l  # masks per chunk
 
     def chunks(self):
         """Yield (first mask, slice of high patterns, number of masks) per chunk."""
-        step = self.rows << self.l
-        for first in range(0, self.count, step):
+        for first in range(0, self.count, self.step):
             a = first >> self.l
-            yield first, slice(a, a + self.rows), min(step, self.count - first)
+            yield first, slice(a, a + self.rows), min(self.step, self.count - first)
 
     def linear(self, v: np.ndarray) -> tuple:
         """The form v . chi; for v of shape (..., n) the tables get shape (..., 2^k)."""
@@ -204,7 +215,7 @@ def subset_scan_minima(W: np.ndarray, delta: np.ndarray | None = None) -> tuple[
     # zero, whose ratios count as 0, can occur only when some degree is
     # within 2 * zero.
     guard = bool(mu.min() <= 2.0 * zero)
-    chunk = min(scan.count, _CHUNK)
+    chunk = min(scan.count, scan.step)
     ratio_buf, ok_buf = np.empty(chunk), np.empty(chunk, dtype=bool)
     gamma = alpha = cheeger = INF
     for _, size, (mu_a, tau, *cut_part) in scan.tables(forms):
@@ -281,31 +292,89 @@ def cheeger_constant(inst: Instance) -> float:
     return h
 
 
+def _threshold_sets(key: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                    in_s: np.ndarray) -> np.ndarray:
+    """Bitsets over the entries of ``key``, one per row j: the i with
+    key[i] <= upper[j] where in_s[j], else the i with key[i] >= lower[j].
+
+    Bit i of a row is bit 7 - i % 8 of its byte i // 8, as ``np.packbits``
+    lays it out; rows are whole uint64 words.  Row k of one table holds the k
+    smallest keys (a ``bitwise_or.accumulate`` over one-hot rows); a set of
+    the first kind is a row of it and a set of the second kind a row's
+    complement.
+    """
+    order = np.argsort(key)
+    table = np.zeros((key.size + 1, -(-key.size // 64)), dtype=np.uint64)
+    table.view(np.uint8)[np.arange(1, key.size + 1), order >> 3] = 0x80 >> (order & 7)
+    np.bitwise_or.accumulate(table, axis=0, out=table)
+    ordered = key[order]
+    k = np.where(in_s, np.searchsorted(ordered, upper, "right"),
+                 np.searchsorted(ordered, lower, "left"))
+    sets = table[k]
+    flip = np.where(in_s, np.uint64(0), ~np.uint64(0))
+    return np.bitwise_xor(sets, flip[:, None], out=sets)
+
+
 def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
-    """All cuts (up to complement) with xi(x) >= gamma * iota(x) at every vertex."""
-    if gamma < 1.0:
+    """All cuts (up to complement) with xi(x) >= gamma * iota(x) at every vertex.
+
+    Cuts come in lexicographic side order.  At gamma = inf these are the cuts
+    with every iota(x) at or below the zero threshold, the cuts whose
+    ``local_stability_gamma`` is +inf.
+    """
+    if not gamma >= 1.0:
         raise ParameterError("gamma must be >= 1")
     W = inst.weights
     scan = _Scan(inst.n, SCAN_MAX_N)
+    h, l = scan.h, scan.l
     mu = W.sum(axis=1)
     zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
-    to_s_hi, to_s_lo, _ = scan.linear(W)  # (W chi)[x] = to_s_hi[x, a] + to_s_lo[x, b]
+    H, L, _ = scan.linear(W)  # (W chi)[x] = H[x, a] + L[x, b]
 
-    def stable(xi: np.ndarray, iota: np.ndarray) -> np.ndarray:
-        return xi - gamma * iota >= -REL_TOL * np.maximum(xi, gamma * iota) - zero
+    if gamma == INF:
+        theta = mu - zero  # iota = mu - xi <= zero
 
-    found: list[Cut] = []
-    for first, _, (to_s,) in scan.tables([(to_s_hi[0], to_s_lo[0], None)]):
-        # vertex 0 (always in S) is tested on the whole chunk, every later
-        # vertex only on the masks that the earlier ones let through
-        xi = mu[0] - to_s
-        masks = first + np.flatnonzero(stable(xi, mu[0] - xi))
-        for x in range(1, inst.n):
-            a, b = scan.patterns(masks)
-            to_s = to_s_hi[x, a] + to_s_lo[x, b]
-            xi = np.where((masks >> (inst.n - 1 - x)) & 1, mu[x] - to_s, to_s)
-            masks = masks[stable(xi, mu[x] - xi)]
-        found.extend(Cut(side) for side in scan.sides(masks).T)
+        def stable(xi: np.ndarray, iota: np.ndarray) -> np.ndarray:
+            return iota <= zero
+    else:
+        # iota = mu - xi and max(xi, gamma * iota) <= gamma * mu, so a
+        # stable vertex has xi >= theta (written so that no product overflows)
+        theta = gamma / (1 + gamma) * mu * (1 - REL_TOL) - zero / (1 + gamma)
+
+        def stable(xi: np.ndarray, iota: np.ndarray) -> np.ndarray:
+            return xi - gamma * iota >= -REL_TOL * np.maximum(xi, gamma * iota) - zero
+    # the margin dwarfs the rounding of to_s, xi, stable() and the thresholds
+    theta -= 2.0 ** -40 * (mu + zero)
+
+    # xi >= theta reads to_s <= mu - theta for x in S and to_s >= theta
+    # otherwise.  Vertex 0 and the high block have their side fixed by a, so
+    # each gives a set of admissible b per a; the low block, sets of a per b.
+    in_s = np.ones((1 << h, 1 + h), dtype=bool)
+    in_s[:, 1:] = scan.bits_hi
+    rows = np.full((1 << h, -(-(1 << l) // 64)), ~np.uint64(0))
+    for x in range(1 + h):
+        rows &= _threshold_sets(L[x], mu[x] - theta[x] - H[x], theta[x] - H[x], in_s[:, x])
+    cols = np.full((1 << l, -(-(1 << h) // 64)), ~np.uint64(0))
+    for j, x in enumerate(range(1 + h, inst.n)):
+        cols &= _threshold_sets(H[x], mu[x] - theta[x] - L[x], theta[x] - L[x],
+                                scan.bits_lo[:, j] > 0)
+
+    # a chunk holds at least 8 high patterns, or all of them, so its columns
+    # start on a byte of cols.  The exact test then decides each candidate.
+    col_bytes = cols.view(np.uint8)
+    found = []
+    for first, hi, size in scan.chunks():
+        block = np.unpackbits(rows[hi].view(np.uint8), axis=1, count=1 << l)
+        r = block.shape[0]
+        block &= np.unpackbits(col_bytes[:, hi.start >> 3:(hi.start + r + 7) >> 3],
+                               axis=1, count=r).T
+        masks = first + np.flatnonzero(block.reshape(-1)[:size])
+        a, b = scan.patterns(masks)
+        sides = scan.sides(masks)
+        to_s = H[:, a] + L[:, b]
+        xi = np.where(sides, mu[:, None] - to_s, to_s)
+        keep = stable(xi, mu[:, None] - xi).all(axis=0)
+        found.extend(Cut(side) for side in sides[:, keep].T)
     return found
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,9 @@ def _chunked_enumeration(inst, gamma):
     return found
 
 
+LEVELS = (1.0, 1.1, 2.0, 3.0)
+
+
 def test_block_scan_matches_chunked_kernel():
     # sizes cover no split (n = 2), the first split (n = 3), one partial chunk
     # and full chunks before a partial last one (n = 16, 18)
@@ -369,7 +373,7 @@ def test_block_scan_matches_chunked_kernel():
         for delta in (None, opt[0].delta, random_cut(rng, n).delta):
             assert subset_scan_minima(inst.weights, delta) == pytest.approx(
                 _chunked_minima(inst.weights, delta), rel=1e-12, abs=1e-12)
-        for level in (1.0, 1.1, 2.0):
+        for level in LEVELS:
             assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
 
 
@@ -388,18 +392,63 @@ def test_subset_scan_guard_for_a_near_isolated_vertex():
         minima = subset_scan_minima(W, delta)
         assert minima[2] == 0.0
         assert minima == pytest.approx(_chunked_minima(W, delta), rel=1e-12, abs=1e-12)
+    for level in LEVELS:
+        assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
 
 
-@pytest.mark.parametrize("n", [19, 20])
+@pytest.mark.parametrize("n", [19, 20, 24])
 def test_scans_with_odd_and_even_splits_match_chunked_kernel(n):
     # n = 19 splits the free vertices 9 + 9 and n = 20 splits them 9 + 10;
-    # both end on a partial chunk
+    # both end on a partial chunk.  n = 24 is the first size whose chunks
+    # hold 8 high patterns rather than 2^14 masks.
     rng = np.random.default_rng(1000 + n)
     inst = random_instance(rng, n)
     opt = sc.brute_force_maxcut(inst)
     assert opt == _chunked_maxcut(inst)
     assert subset_scan_minima(inst.weights, opt[0].delta) == pytest.approx(
         _chunked_minima(inst.weights, opt[0].delta), rel=1e-12, abs=1e-12)
+    if n < 24:
+        for level in LEVELS:
+            assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
+
+
+def test_enumeration_keeps_cuts_inside_the_tolerance():
+    # K4's balanced cuts have xi/iota = 2 at every vertex, so just above
+    # gamma = 2 they pass only through the REL_TOL slack of the exact test;
+    # a prefilter at the bare threshold gamma * mu / (1 + gamma) drops them
+    k4 = sc.Instance(np.ones((4, 4)) - np.eye(4))
+    gamma = 2.0 * (1 + 1e-10)
+    cuts = sc.enumerate_locally_stable_cuts(k4, gamma)
+    assert len(cuts) == 3
+    assert cuts == _chunked_enumeration(k4, gamma)
+    assert sc.enumerate_locally_stable_cuts(k4, 2.0 * (1 + 1e-8)) == []
+
+
+def test_enumeration_at_infinite_gamma(c4):
+    # gamma = inf keeps exactly the cuts whose local gamma is +inf (every
+    # iota(x) at or below the zero threshold), without numpy warnings
+    rng = np.random.default_rng(4242)
+    bipartite = sc.gen_planted_partition(8, 0.8, 0.0, 5).instance.weights
+    W = np.zeros((9, 9))
+    W[:8, :8] = bipartite
+    W[0, 8] = W[8, 0] = 0.25 * ZERO_FRACTION * bipartite.sum()  # either side of 8 counts
+    pool = [c4, sc.Instance(np.ones((4, 4)) - np.eye(4)), sc.Instance(W),
+            sc.gen_infinite_stable_not_distinguished(3, 0.2).instance]
+    pool += [random_instance(rng, n) for n in (3, 5, 7)]
+    pool += [sc.gen_planted_partition(n, 0.9, 0.0, n).instance for n in (6, 9)]
+    counts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inst in pool:
+            cuts = sc.enumerate_locally_stable_cuts(inst, INF)
+            assert cuts == [c for c in _ref_cuts(inst.n) if sc.local_stability_gamma(inst, c) == INF]
+            counts.append(len(cuts))
+        # a finite gamma so large that gamma * mu overflows agrees with inf
+        # on C4 and K4
+        for inst in pool[:2]:
+            assert (sc.enumerate_locally_stable_cuts(inst, 1e308)
+                    == sc.enumerate_locally_stable_cuts(inst, INF))
+    assert counts == [1, 0, 2, 1, 0, 0, 0, 1, 1]
 
 
 def test_instance_stability_matches_separate_scans():
