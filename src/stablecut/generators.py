@@ -92,7 +92,6 @@ def gen_stable_bipartite_noise(n: int, gamma_target: float, seed: int) -> Plante
     noise = np.triu(rng.uniform(0.5, 1.0, (n, n)), k=1)
     base[~np.triu(cross, k=1)] = 0.0
     noise[~np.triu(~cross, k=1)] = 0.0
-    np.fill_diagonal(noise, 0.0)
     base = base + base.T
     noise = noise + noise.T
     cut = Cut(side)

@@ -45,6 +45,9 @@ ROW_SUM_LIMIT = math.sqrt(sys.float_info.max)
 # Mixing sweeps a relaxation solve runs before the interior-point finish takes
 # over; solves that converge within them never reach the finish.
 MIXING_SWEEPS = 32
+# Relative tolerance of both stop rules: the mixing objective's change per
+# sweep and the finish's certified duality gap.
+RELAX_TOL = 1e-10
 # Iteration cap of the interior-point finish, which takes 18 to 32 iterations on
 # the inputs measured (n = 3 to 200).
 FINISH_ITERATIONS = 100
@@ -253,15 +256,14 @@ class GwSolution:
     finish_iterations: int = 0
 
 
-def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 100_000,
-                    tol: float = 1e-10, seed: int = 0) -> GwSolution:
+def gw_primal_solve(inst: Instance, max_sweeps: int = 100_000, seed: int = 0) -> GwSolution:
     """Minimize sum_ij W_ij <v_i, v_j> over unit vectors: mixing sweeps, then a finish.
 
     The mixing phase runs cyclic row updates: each v_i <- -normalize(sum_j
     W_ij v_j) is the exact minimizer with the other rows fixed (rows with a
     vanishing update direction keep their current value: any unit vector is
     stationary there).  It stops when the objective change per sweep drops
-    below ``tol`` relative, after ``max_sweeps``, or after MIXING_SWEEPS.  The
+    below RELAX_TOL relative, or after min(max_sweeps, MIXING_SWEEPS) sweeps.  The
     objective is evaluated once per sweep, as one GEMM and a dot, and only
     decides when to stop: the rows never read it.  Rows update through one
     buffer reused for the whole solve, with the same gemv and the same
@@ -269,34 +271,32 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     Both stop rules scale with the weights: the relative test's floor is
     min(1, sum W) and the stall threshold 1e-13 max W.
 
-    A solve that has not converged within MIXING_SWEEPS sweeps while
-    ``max_sweeps`` allows more is finished by ``_interior_point``, which
-    ignores V and so the seed.  It returns the Gram matrix X itself, vectors
-    U sqrt(max(lambda, 0)) from eigh(X) (n columns whatever ``rank`` is:
-    ``rank`` shapes only the mixing phase), primal value <W, X>, and
-    converged=True when its certified duality gap reached ``tol``.  A mixing
-    solve is certified only a posteriori, through the dual residuals.
+    Only a ``max_sweeps`` at or below MIXING_SWEEPS changes anything: it caps
+    the mixing phase and skips the finish, which leaves a mixing-only solve.
+    Above it, a solve that has not converged within MIXING_SWEEPS sweeps is
+    finished by ``_interior_point``, which ignores V and so the seed.  It
+    returns the Gram matrix X itself, vectors U sqrt(max(lambda, 0)) from
+    eigh(X), primal value <W, X>, and converged=True when its certified
+    duality gap reached RELAX_TOL.  A mixing solve is certified only a
+    posteriori, through the dual residuals.
 
     Raises ParameterError when a row sum of W exceeds ROW_SUM_LIMIT: a row
     update's squared norm is at most the row sum squared, and above the
     limit it would overflow.
     """
     n = inst.n
-    r = n if rank is None else rank
-    if r < 2:
-        raise ParameterError("rank must be >= 2")
     W = inst.weights
     if W.sum(axis=1).max() > ROW_SUM_LIMIT:
         raise ParameterError(
             f"a row sum of the weights exceeds {ROW_SUM_LIMIT:.6g}, where the relaxation's "
             "row updates overflow")
     rng = np.random.default_rng(seed)
-    V = rng.normal(size=(n, r))
+    V = rng.normal(size=(n, n))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     floor = min(1.0, float(W.sum()))
     stall = 1e-13 * float(W.max())
     rows = list(zip(W, V))  # views: writing v updates V in place
-    g = np.empty(r)
+    g = np.empty(n)
     prev = float(np.vdot(W @ V, V))
     converged = False
     sweeps = 0
@@ -307,7 +307,7 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
             if norm > stall:
                 np.divide(g, -norm, out=v)
         value = float(np.vdot(W @ V, V))
-        if abs(value - prev) <= tol * (floor + abs(value)):
+        if abs(value - prev) <= RELAX_TOL * (floor + abs(value)):
             converged = True
             prev = value
             break
@@ -315,7 +315,7 @@ def gw_primal_solve(inst: Instance, rank: int | None = None, max_sweeps: int = 1
     if converged or max_sweeps <= MIXING_SWEEPS:
         return GwSolution(vectors=V, gram=V @ V.T, primal_value=prev,
                           converged=converged, sweeps=sweeps)
-    X, converged, iterations = _interior_point(W, tol, floor)
+    X, converged, iterations = _interior_point(W, floor)
     lam, U = np.linalg.eigh(X)
     return GwSolution(vectors=U * np.sqrt(np.maximum(lam, 0.0)), gram=X,
                       primal_value=float(np.vdot(W, X)), converged=converged,
@@ -340,7 +340,7 @@ def _step_length(M: np.ndarray, dM: np.ndarray) -> float:
     return 0.0
 
 
-def _interior_point(W: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, bool, int]:
+def _interior_point(W: np.ndarray, floor: float) -> tuple[np.ndarray, bool, int]:
     """Solve min <W, X> s.t. diag X = 1, X PSD by a primal-dual interior-point method.
 
     The method and step rules of Helmberg, Rendl, Vanderbei and Wolkowicz
@@ -351,7 +351,7 @@ def _interior_point(W: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray
     primal and dual step lengths, and mu = <X, Z> / 2n is halved after a
     step pair summing above 1.8.  Z stays positive definite, so the gap
     sum(y) + <W, X> bounds how far <W, X> lies above the optimum: the solve
-    stops once it is at most tol (floor + |sum y|), and reports False after
+    stops once it is at most RELAX_TOL (floor + |sum y|), and reports False after
     FINISH_ITERATIONS iterations otherwise.  Returns X, that flag and the
     iterations run.
     """
@@ -380,7 +380,7 @@ def _interior_point(W: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray
         if alpha_p + alpha_d > 1.8:
             mu /= 2
         dual = float(y.sum())
-        if dual + float(np.vdot(W, X)) <= tol * (floor + abs(dual)):
+        if dual + float(np.vdot(W, X)) <= RELAX_TOL * (floor + abs(dual)):
             return X, True, iteration
     return X, False, FINISH_ITERATIONS
 

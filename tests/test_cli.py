@@ -13,6 +13,7 @@ import stablecut as sc
 from stablecut import stable
 from stablecut.cli import main
 from stablecut.errors import PreconditionError
+from stablecut.oracle import subset_scan_minima
 
 
 def run(capsys, *argv):
@@ -39,6 +40,26 @@ def test_gen_writes_instance_and_sidecar(tmp_path, capsys):
     sidecar = json.loads(open(summary["sidecar"]).read())
     cut = sc.cut_from_json(sidecar["planted_cut"])
     assert sc.cut_stability_gamma(inst, cut) >= 6.0
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["planted-partition", "--n", "10"], 10),
+    (["bipartite-noise"], 8),
+    (["euclidean", "--n", "6", "--dim", "3"], 6),
+    (["tightness", "--pairs", "3"], 12),
+    (["matching-eps", "--pairs", "3"], 6),
+    (["stable-not-distinguished", "--pairs", "3"], 6),
+])
+def test_gen_every_family(tmp_path, capsys, argv, n):
+    out_path = str(tmp_path / "inst.json")
+    code, out = run(capsys, "gen", *argv, "--seed", "1", "-o", out_path)
+    assert code == 0
+    assert json.loads(out)["n"] == sc.load_instance(out_path).n == n
+    sidecar = Path(out_path + ".planted.json")
+    if argv[0] == "matching-eps":  # the one family without a planted cut
+        assert not sidecar.exists()
+    else:
+        assert sc.cut_from_json(json.loads(sidecar.read_text())["planted_cut"]).n == n
 
 
 def test_gen_infinite_gamma_serializes_as_string(tmp_path, capsys):
@@ -128,6 +149,21 @@ def test_verify_reports_stability(tmp_path, capsys):
     assert code == 0
     # non-maximal cut: the subset {0, 3} meets no cut edge, so gamma is 0
     assert json.loads(out)["gamma"] == 0.0
+
+
+def test_verify_clamps_a_tied_optimum_to_gamma_one(tmp_path, capsys):
+    path = str(tmp_path / "m.json")
+    assert run(capsys, "gen", "matching-eps", "--pairs", "3", "--eps", "0.1", "--seed", "0",
+               "-o", path)[0] == 0
+    inst = sc.load_instance(path)
+    opt, _, count = sc.brute_force_maxcut(inst)
+    raw = subset_scan_minima(inst.weights, opt.delta)[0]
+    assert count > 1 and raw < 1.0  # the raw scan reads 0.9999999999999989 here
+    code, out = run(capsys, "verify", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["is_unique_maxcut"] is False
+    assert report["gamma"] == 1.0 == sc.instance_stability(inst).gamma
 
 
 def test_verify_rejects_non_cut(tmp_path, capsys):

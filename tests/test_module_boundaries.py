@@ -68,6 +68,29 @@ def test_only_the_max_cut_takes_a_size_cap():
     assert takers == ["oracle.brute_force_maxcut"]
 
 
+def test_defaulted_parameters_are_pinned():
+    # a new knob on a public function means editing this list; the criteria,
+    # which take only a seed, are pinned by the test below
+    criteria = {f"acceptance.{c.__name__}" for c in acceptance.CRITERIA}
+    defaulted = sorted(f"{name}.{p.name}" for name, fn in _public_functions() if name not in criteria
+                       for p in inspect.signature(fn).parameters.values()
+                       if p.default is not inspect.Parameter.empty)
+    assert defaulted == [
+        "acceptance.run_all.seed",
+        "cli.main.argv",
+        "oracle.brute_force_maxcut.max_n",
+        "oracle.subset_scan_minima.delta",
+        "spectral.bipolarity_check.seed",
+        "spectral.bipolarity_check.tol_scale",
+        "spectral.gw_primal_solve.max_sweeps",
+        "spectral.gw_primal_solve.seed",
+        "spectral.gw_round.seed",
+        "spectral.gw_round.trials",
+        "stable.spanning_tree_solve.repetitions",
+        "stable.sqrt_stable_solve.gamma",
+    ]
+
+
 def test_acceptance_criteria_take_only_a_seed():
     for criterion in acceptance.CRITERIA:
         params = inspect.signature(criterion).parameters.values()
