@@ -183,11 +183,13 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         "bipartite-noise(14,8)": gen_stable_bipartite_noise(14, 8.0, seed),
         "complete-bipartite(14)": gen_planted_partition(14, 1.0, 0.0, seed),
     }
+    solved = {}  # name -> (optimum, density coefficient, local gamma)
     for name, planted in pools.items():
         inst = planted.instance
         opt, _, _ = brute_force_maxcut(inst)
         C = density_coefficient(inst)
         gl = local_stability_gamma(inst, opt)
+        solved[name] = opt, C, gl
         for m in (8, 16, 32):
             fails = 0
             for t in range(trials):
@@ -202,9 +204,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     planted = pools["bipartite-noise(14,8)"]
     inst = planted.instance
-    opt, _, _ = brute_force_maxcut(inst)
-    C = density_coefficient(inst)
-    gl = local_stability_gamma(inst, opt)
+    opt, C, gl = solved["bipartite-noise(14,8)"]
     bound10 = failure_bound(C, gl, 10, inst.n)
     wins_enum = wins_seeded = 0
     for s in range(solver_seeds):
@@ -298,7 +298,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     pool = _ball_pool(seed, count)
     ok = len(pool) == count
     for inst, cut, w, _ in pool:
-        balls = [b[2] for b in enumerate_balls(inst)]
+        balls = enumerate_balls(inst)
         is_ball = any(np.array_equal(b, cut.side) or np.array_equal(b, ~cut.side)
                       for b in balls)
         solved = ball_enumeration_solve(inst)
@@ -308,7 +308,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     t_cut, t_w, t_cnt = brute_force_maxcut(tight.instance)
     t_gl = local_stability_gamma(tight.instance, t_cut)
     t_gamma = cut_stability_gamma(tight.instance, t_cut)
-    balls = [b[2] for b in enumerate_balls(tight.instance)]
+    balls = enumerate_balls(tight.instance)
     t_is_ball = any(np.array_equal(b, t_cut.side) or np.array_equal(b, ~t_cut.side)
                     for b in balls)
     t_ball_w = cut_weight(tight.instance, ball_enumeration_solve(tight.instance))
@@ -464,25 +464,27 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def gw_pool(seed: int, count: int):
-    """Instances cycling through every family, n <= 16."""
+    """Instances cycling through every family, n <= 16.
+
+    Instance i is of family i % 6, drawn with seed seed * 41 + i; the first
+    four families alternate between two configurations with (i // 6) % 2.
+    """
     pool = []
-    i = 0
-    while len(pool) < count:
-        s = seed * 41 + i
+    for i in range(count):
+        s, j = seed * 41 + i, (i // 6) % 2
         kind = i % 6
         if kind == 0:
-            pool.append(gen_stable_bipartite_noise((6, 10, 14, 16)[i % 4], (2.0, 8.0, 20.0, INF)[i % 4], s).instance)
+            pool.append(gen_stable_bipartite_noise((6, 14)[j], (2.0, 20.0)[j], s).instance)
         elif kind == 1:
-            pool.append(gen_planted_partition((6, 10, 14, 16)[i % 4], 0.9, 0.2, s).instance)
+            pool.append(gen_planted_partition((10, 16)[j], 0.9, 0.2, s).instance)
         elif kind == 2:
-            pool.append(gen_euclidean_metric((4, 8, 12, 16)[i % 4], 1 + i % 3, (2.0, 10.0)[i % 2], s).instance)
+            pool.append(gen_euclidean_metric((12, 4)[j], 3, 2.0, s).instance)
         elif kind == 3:
-            pool.append(gen_matching_epsilon(2 + i % 4, (1e-3, 0.3)[i % 3 == 0]))
+            pool.append(gen_matching_epsilon((5, 3)[j], 0.3))
         elif kind == 4:
-            pool.append(gen_infinite_stable_not_distinguished(2 + i % 6, 1e-3).instance)
+            pool.append(gen_infinite_stable_not_distinguished(6, 1e-3).instance)
         else:
-            pool.append(gen_tightness_example(2 + i % 3).instance)
-        i += 1
+            pool.append(gen_tightness_example(4).instance)
     return pool
 
 
@@ -584,11 +586,11 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         s = seed * 53 + i
         kind = i % 3
         if kind == 0:
-            inst = gen_stable_bipartite_noise((8, 10, 12, 14)[i % 4], (1.0, 2.0, 4.0)[i % 3], s).instance
+            inst = gen_stable_bipartite_noise((8, 10, 12, 14)[i % 4], 1.0, s).instance
         elif kind == 1:
             inst = gen_planted_partition((8, 10, 12, 14)[i % 4], 0.9, 0.4, s).instance
         else:
-            inst = gen_euclidean_metric((8, 10, 12, 14)[i % 4], 1 + i % 3, 2.0, s).instance
+            inst = gen_euclidean_metric((8, 10, 12, 14)[i % 4], 3, 2.0, s).instance
         n = inst.n
         cuts = enumerate_locally_stable_cuts(inst, 1.1)
         ok = ok and len(cuts) <= n ** 3

@@ -40,7 +40,6 @@ from .instance import (
 )
 from .metric import ball_enumeration_solve, metric_dense_solve, normalize_total_weight, split_instance
 from .oracle import (
-    SCAN_MAX_N,
     brute_force_maxcut,
     cut_stability_gamma,
     local_stability_gamma,
@@ -208,7 +207,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     given = load_cut(args.cut) if args.cut else None
-    opt, _, count = brute_force_maxcut(inst, max_n=SCAN_MAX_N)  # fail before a wasted scan
+    opt, _, count = brute_force_maxcut(inst)
     cut = opt if given is None else given
     weight = cut_weight(inst, cut)  # also rejects a cut of the wrong size
     gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)

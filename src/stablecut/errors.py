@@ -10,7 +10,7 @@ class InvalidInstanceError(StableCutError):
 
 
 class InvalidCutError(StableCutError):
-    """A cut must put at least one vertex on each side."""
+    """A cut must put at least one vertex on each side and match the instance's size."""
 
 
 class InvalidSubsetError(StableCutError):

@@ -163,7 +163,8 @@ class SubsetStats:
     mu: float
 
 
-def _check_cut(inst: Instance, cut: Cut) -> None:
+def check_cut(inst: Instance, cut: Cut) -> None:
+    """Raise InvalidCutError unless the cut has one side entry per vertex of inst."""
     if cut.n != inst.n:
         raise InvalidCutError(f"cut has {cut.n} vertices, instance has {inst.n}")
 
@@ -187,7 +188,7 @@ def subset_stats(inst: Instance, cut: Cut, subset) -> SubsetStats:
     ``subset`` may be a single vertex, a pair, or any iterable of vertices.
     ``iota = tau - xi`` holds exactly by construction, and ``tau <= mu``.
     """
-    _check_cut(inst, cut)
+    check_cut(inst, cut)
     idx = _subset_indices(inst, subset)
     W = inst.weights
     in_a = np.zeros(inst.n, dtype=bool)
@@ -205,7 +206,7 @@ def subset_stats(inst: Instance, cut: Cut, subset) -> SubsetStats:
 
 def cut_weight(inst: Instance, cut: Cut) -> float:
     """w(S, S-bar): direct summation over separated pairs."""
-    _check_cut(inst, cut)
+    check_cut(inst, cut)
     s = cut.side
     return float(inst.weights[np.ix_(s, ~s)].sum())
 

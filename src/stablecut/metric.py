@@ -20,7 +20,7 @@ import numpy as np
 
 from .dense import DenseSolverConfig, best_induced_cut, draw_samples
 from .errors import DegenerateInstanceError, ParameterError, PreconditionError
-from .instance import Cut, Instance, REL_TOL, cut_weight, is_metric
+from .instance import Cut, Instance, REL_TOL, check_cut, cut_weight, is_metric
 
 # Absorbs representation error in floor(tau) after floating-point
 # normalization; tau >= n analytically so a one-off cannot occur.
@@ -81,15 +81,13 @@ def split_instance(inst: Instance) -> SplitMap:
 
 def lift_cut(smap: SplitMap, cut: Cut) -> Cut:
     """Lift a cut of the original instance to the split instance (fiber-constant)."""
-    if cut.n != smap.original.n:
-        raise ParameterError("cut size mismatch")
+    check_cut(smap.original, cut)
     return Cut(cut.side[smap.pi])
 
 
 def project_cut(smap: SplitMap, split_cut: Cut) -> Cut | None:
     """Invert ``lift_cut``; None when some fiber is split across sides."""
-    if split_cut.n != smap.split.n:
-        raise ParameterError("cut size mismatch")
+    check_cut(smap.split, split_cut)
     offsets = np.concatenate(([0], np.cumsum(smap.multiplicity)[:-1]))
     firsts = split_cut.side[offsets]
     if not np.array_equal(split_cut.side, firsts[smap.pi]):
@@ -118,8 +116,8 @@ def metric_dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:
     return best_induced_cut(inst, scaled, pi[samples], cfg)
 
 
-def enumerate_balls(inst: Instance) -> list[tuple[int, float, np.ndarray]]:
-    """All distinct closed balls B(c, r) = {y : w(c, y) <= r} as (center, radius, membership).
+def enumerate_balls(inst: Instance) -> list[np.ndarray]:
+    """Membership vectors of all distinct closed balls B(c, r) = {y : w(c, y) <= r}.
 
     Radii sweep the exact distance values from each center plus radius 0
     (the singleton ball), which exhausts the distinct balls; B(c, V) is
@@ -134,7 +132,7 @@ def enumerate_balls(inst: Instance) -> list[tuple[int, float, np.ndarray]]:
             inside = W[c] <= r
             if inside.all():
                 continue
-            balls.append((c, float(r), inside))
+            balls.append(inside)
     return balls
 
 
@@ -148,7 +146,7 @@ def ball_enumeration_solve(inst: Instance) -> Cut:
     _require_metric(inst)
     best_w = -math.inf
     best = None
-    for _, _, inside in enumerate_balls(inst):
+    for inside in enumerate_balls(inst):
         w = cut_weight(inst, Cut(inside))
         if w > best_w:
             best_w, best = w, inside
@@ -178,8 +176,7 @@ def cut_edge_lower_bound_check(inst: Instance, cut: Cut, gamma: float) -> CrossB
     measured local stability.
     """
     _require_metric(inst)
-    if cut.n != inst.n:
-        raise ParameterError("cut size mismatch")
+    check_cut(inst, cut)
     if gamma < 1.0:
         raise ParameterError("gamma must be >= 1")
     W = inst.weights

@@ -19,9 +19,9 @@ lo_F[b]], written into buffers allocated once per scan.  A scan therefore
 costs O(n 2^n) rather than the O(n^2 2^n) of forming W @ sides.  The layout
 also owns the chunk boundaries (2^14 masks each, but at least 8 high
 patterns, or all of them, so that n = 28 runs 1,024 chunks and not 8,192),
-the excluded all-ones mask and the size caps (``SCAN_MAX_N`` for subset
-scans and enumeration, ``MAXCUT_MAX_N`` for the max-cut scan), and it reads
-side vectors, such as the blocks ``cut_sides`` yields, off cached bit tables.
+the excluded all-ones mask and the size cap of every scan, one constant,
+``SCAN_MAX_N`` = 28, and it reads side vectors, such as the blocks
+``cut_sides`` yields, off cached bit tables.
 
 On top of it sit one per-vertex xi/iota helper for single cuts and blocks,
 and the 0/0 -> +inf ratio convention.  The maximum cut is found in a single pass
@@ -47,14 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeLimitError
-from .instance import Cut, Instance, REL_TOL, ZERO_FRACTION, cut_weight
+from .instance import Cut, Instance, REL_TOL, ZERO_FRACTION, check_cut, cut_weight
 
 INF = math.inf
 
 _CHUNK = 1 << 14  # masks per chunk of a scan
 
-SCAN_MAX_N = 24  # largest n of a subset scan, a cut enumeration or cut_sides
-MAXCUT_MAX_N = 28  # largest n of brute_force_maxcut by default
+SCAN_MAX_N = 28  # largest n of every exhaustive scan
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,9 +72,9 @@ class _Scan:
     hi[a] + lo[b] + (cross[a] . bits_lo[b] when cross is not None).
     """
 
-    def __init__(self, n: int, max_n: int):
-        if n > max_n:
-            raise SizeLimitError(f"exhaustive scan capped at n <= {max_n}, got {n}")
+    def __init__(self, n: int):
+        if n > SCAN_MAX_N:
+            raise SizeLimitError(f"exhaustive scan capped at n <= {SCAN_MAX_N}, got {n}")
         self.n = n
         self.h = h = (n - 1) // 2
         self.l = n - 1 - h
@@ -158,7 +157,7 @@ def cut_sides(n: int):
     Blocks come in lexicographic order (bit n-1-i of the running mask holds
     side[i]).  Raises SizeLimitError when n > SCAN_MAX_N.
     """
-    scan = _Scan(n, SCAN_MAX_N)
+    scan = _Scan(n)
     for first, _, size in scan.chunks():
         yield scan.sides(np.arange(first, first + size))
 
@@ -168,15 +167,15 @@ def _ratio_or_inf(num: np.ndarray, den: np.ndarray, zero: float) -> np.ndarray:
     return np.where(den > zero, num / np.where(den > zero, den, 1.0), INF)
 
 
-def brute_force_maxcut(inst: Instance, max_n: int = MAXCUT_MAX_N) -> tuple[Cut, float, int]:
+def brute_force_maxcut(inst: Instance) -> tuple[Cut, float, int]:
     """Exhaustive maximum cut.
 
     Returns one optimal cut (the lexicographically smallest side vector with
     vertex 0 in S), its weight, and the number of distinct optimal cuts (a
     cut and its complement count once).  Optima are counted up to relative
-    tolerance 1e-9.  Raises SizeLimitError when n > max_n.
+    tolerance 1e-9.  Raises SizeLimitError when n > SCAN_MAX_N.
     """
-    scan = _Scan(inst.n, max_n)
+    scan = _Scan(inst.n)
     best = -INF
     # Cuts within tolerance of the running best (a superset of the final
     # optima) are tallied per distinct weight, so memory stays small however
@@ -202,7 +201,7 @@ def subset_scan_minima(W: np.ndarray, delta: np.ndarray | None = None) -> tuple[
     When ``delta`` is None only the Cheeger minimum is meaningful and the
     first two come back as +inf.  0/0 ratios are +inf by convention.
     """
-    scan = _Scan(W.shape[0], SCAN_MAX_N)
+    scan = _Scan(W.shape[0])
     mu = W.sum(axis=1)
     total_mu = float(mu.sum())
     zero = ZERO_FRACTION * max(total_mu, 1e-300)
@@ -265,23 +264,20 @@ def cut_stability_gamma(inst: Instance, cut: Cut) -> float:
 
     The cut is gamma-stable exactly for gamma up to this value.
     """
-    if cut.n != inst.n:
-        raise ParameterError("cut size mismatch")
+    check_cut(inst, cut)
     gamma, _, _ = subset_scan_minima(inst.weights, cut.delta)
     return gamma
 
 
 def local_stability_gamma(inst: Instance, cut: Cut) -> float:
     """min over vertices of xi(x)/iota(x); +inf when every iota(x) = 0."""
-    if cut.n != inst.n:
-        raise ParameterError("cut size mismatch")
+    check_cut(inst, cut)
     return float(local_gammas(inst.weights, cut.side))
 
 
 def distinction_alpha(inst: Instance, cut: Cut) -> float:
     """min over subsets of (xi(A)-iota(A)) / min(mu(A), mu(A-bar))."""
-    if cut.n != inst.n:
-        raise ParameterError("cut size mismatch")
+    check_cut(inst, cut)
     _, alpha, _ = subset_scan_minima(inst.weights, cut.delta)
     return alpha
 
@@ -325,7 +321,7 @@ def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
     if not gamma >= 1.0:
         raise ParameterError("gamma must be >= 1")
     W = inst.weights
-    scan = _Scan(inst.n, SCAN_MAX_N)
+    scan = _Scan(inst.n)
     h, l = scan.h, scan.l
     mu = W.sum(axis=1)
     zero = ZERO_FRACTION * max(float(W.sum()), 1e-300)
@@ -396,8 +392,7 @@ class StabilityReport:
 
 def instance_stability(inst: Instance) -> StabilityReport:
     """Full report at the brute-force optimal cut."""
-    # the subset scan caps at SCAN_MAX_N, so a larger n fails before the max-cut scan
-    cut, _, count = brute_force_maxcut(inst, max_n=SCAN_MAX_N)
+    cut, _, count = brute_force_maxcut(inst)
     gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
     unique = count == 1
     return StabilityReport(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, SolverFailure
-from .instance import Cut, Instance, REL_TOL, cut_weight
+from .instance import Cut, Instance, REL_TOL, check_cut, cut_weight
 from .oracle import distinction_alpha, local_stability_gamma, subset_scan_minima
 
 INF = math.inf
@@ -90,8 +90,7 @@ class SpectralBundle:
 
 def _cut_part(inst: Instance, cut: Cut) -> np.ndarray:
     """W restricted to the edges the cut separates (zero elsewhere)."""
-    if cut.n != inst.n:
-        raise ParameterError("cut size mismatch")
+    check_cut(inst, cut)
     delta = cut.delta
     separated = delta[:, None] * delta[None, :] < 0
     return inst.weights * separated

@@ -5,9 +5,21 @@ lines and measured values.  The same battery is reachable from the command
 line via ``stablecut bench --suite acceptance``.
 """
 
+import math
+
 import pytest
 
 from stablecut import acceptance
+from stablecut.generators import (
+    gen_euclidean_metric,
+    gen_infinite_stable_not_distinguished,
+    gen_matching_epsilon,
+    gen_planted_partition,
+    gen_stable_bipartite_noise,
+    gen_tightness_example,
+)
+
+INF = math.inf
 
 
 def _check(criterion):
@@ -64,3 +76,35 @@ def test_criterion_09_relaxation_battery():
 
 def test_criterion_10_locally_stable_counts():
     _check(acceptance.criterion_10)
+
+
+def _gw_pool_by_residues(seed, count):
+    # the pool as first written, with selectors over every residue of i
+    pool = []
+    i = 0
+    while len(pool) < count:
+        s = seed * 41 + i
+        kind = i % 6
+        if kind == 0:
+            pool.append(gen_stable_bipartite_noise((6, 10, 14, 16)[i % 4], (2.0, 8.0, 20.0, INF)[i % 4], s).instance)
+        elif kind == 1:
+            pool.append(gen_planted_partition((6, 10, 14, 16)[i % 4], 0.9, 0.2, s).instance)
+        elif kind == 2:
+            pool.append(gen_euclidean_metric((4, 8, 12, 16)[i % 4], 1 + i % 3, (2.0, 10.0)[i % 2], s).instance)
+        elif kind == 3:
+            pool.append(gen_matching_epsilon(2 + i % 4, (1e-3, 0.3)[i % 3 == 0]))
+        elif kind == 4:
+            pool.append(gen_infinite_stable_not_distinguished(2 + i % 6, 1e-3).instance)
+        else:
+            pool.append(gen_tightness_example(2 + i % 3).instance)
+        i += 1
+    return pool
+
+
+@pytest.mark.parametrize("seed", [acceptance.DEFAULT_SEED, 1, 11])
+def test_gw_pool_matches_the_residue_selectors(seed):
+    pool = acceptance.gw_pool(seed, 400)
+    reference = _gw_pool_by_residues(seed, 400)
+    assert len(pool) == len(reference) == 400
+    for inst, ref in zip(pool, reference):
+        assert inst.n == ref.n and inst.weights.tobytes() == ref.weights.tobytes()

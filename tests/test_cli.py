@@ -224,11 +224,11 @@ def test_spanning_tree_above_the_repetition_cap_exits_2(tmp_path, capsys, argv):
 
 
 def test_verify_above_the_subset_scan_cap_exits_2(tmp_path, capsys):
-    path = str(tmp_path / "k25.json")
-    sc.save_instance(sc.Instance(np.ones((25, 25)) - np.eye(25)), path)
+    path = str(tmp_path / "k29.json")
+    sc.save_instance(sc.Instance(np.ones((29, 29)) - np.eye(29)), path)
     code = main(["verify", path])
     assert code == 2
-    assert "capped at n <= 24" in json.loads(capsys.readouterr().err)["error"]
+    assert "capped at n <= 28, got 29" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_solver_failure_exits_1(tmp_path, capsys):

@@ -12,6 +12,7 @@ from stablecut.errors import (
     ParameterError,
 )
 from stablecut.instance import contract
+from stablecut.spectral import build_spectral_bundle
 
 from conftest import random_cut, random_instance
 
@@ -59,6 +60,28 @@ def test_cut_validation():
     assert cut.members() == ((0, 2), (1,))
     assert sc.same_bipartition(cut, cut.complement())
     assert not sc.same_bipartition(cut, sc.Cut([True, True, False]))
+
+
+def _split(inst):
+    return sc.split_instance(sc.normalize_total_weight(inst)[0])
+
+
+# every (instance, cut) entry point that checks the cut's size before its own work
+_CUT_TAKERS = {
+    "cut_stability_gamma": sc.cut_stability_gamma,
+    "local_stability_gamma": sc.local_stability_gamma,
+    "distinction_alpha": sc.distinction_alpha,
+    "build_spectral_bundle": build_spectral_bundle,
+    "lift_cut": lambda inst, cut: sc.lift_cut(_split(inst), cut),
+    "project_cut": lambda inst, cut: sc.project_cut(_split(inst), cut),
+    "cut_edge_lower_bound_check": lambda inst, cut: sc.cut_edge_lower_bound_check(inst, cut, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_TAKERS))
+def test_cut_of_the_wrong_size_raises_invalid_cut(pair_metric, name):
+    with pytest.raises(InvalidCutError, match="^cut has 3 vertices, instance has [0-9]+$"):
+        _CUT_TAKERS[name](pair_metric, sc.Cut([True, False, False]))
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,11 @@ def _public_functions():
                 yield f"{path.stem}.{name}", fn
 
 
-def test_only_the_max_cut_takes_a_size_cap():
-    # the scan caps are oracle constants; brute_force_maxcut keeps max_n because
-    # verify and instance_stability cap it at the subset-scan constant
+def test_no_public_function_takes_a_size_cap():
+    # every exhaustive scan stops at the one oracle constant, SCAN_MAX_N
     takers = sorted(name for name, fn in _public_functions()
                     if "max_n" in inspect.signature(fn).parameters)
-    assert takers == ["oracle.brute_force_maxcut"]
+    assert takers == []
 
 
 def test_defaulted_parameters_are_pinned():
@@ -78,7 +77,6 @@ def test_defaulted_parameters_are_pinned():
     assert defaulted == [
         "acceptance.run_all.seed",
         "cli.main.argv",
-        "oracle.brute_force_maxcut.max_n",
         "oracle.subset_scan_minima.delta",
         "spectral.bipolarity_check.seed",
         "spectral.bipolarity_check.tol_scale",

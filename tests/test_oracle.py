@@ -30,29 +30,31 @@ def test_brute_force_examples(c4, k3):
     assert (w, count) == (4.0, 3)
 
 
-def test_brute_force_size_cap(k3):
-    with pytest.raises(SizeLimitError):
-        sc.brute_force_maxcut(k3, max_n=2)
-    k29 = sc.Instance(np.ones((29, 29)) - np.eye(29))
-    with pytest.raises(SizeLimitError, match="n <= 28, got 29"):
-        sc.brute_force_maxcut(k29)
-
-
 def test_subset_scan_size_cap():
-    # every subset scan and enumeration stops before scanning when n > 24
-    k25 = sc.Instance(np.ones((25, 25)) - np.eye(25))
-    cut = sc.Cut(np.arange(25) % 2 == 0)
-    for scan in (lambda: subset_scan_minima(k25.weights, cut.delta),
-                 lambda: subset_scan_minima(k25.weights, None),
-                 lambda: sc.cheeger_constant(k25),
-                 lambda: sc.cut_stability_gamma(k25, cut),
-                 lambda: sc.distinction_alpha(k25, cut),
-                 lambda: sc.distinguished_condition(k25, cut),
-                 lambda: sc.enumerate_locally_stable_cuts(k25, 1.0),
-                 lambda: next(cut_sides(25)),
-                 lambda: sc.instance_stability(k25)):
-        with pytest.raises(SizeLimitError, match="n <= 24, got 25"):
+    # every exhaustive scan stops before scanning when n > 28
+    k29 = sc.Instance(np.ones((29, 29)) - np.eye(29))
+    cut = sc.Cut(np.arange(29) % 2 == 0)
+    for scan in (lambda: sc.brute_force_maxcut(k29),
+                 lambda: subset_scan_minima(k29.weights, cut.delta),
+                 lambda: subset_scan_minima(k29.weights, None),
+                 lambda: sc.cheeger_constant(k29),
+                 lambda: sc.cut_stability_gamma(k29, cut),
+                 lambda: sc.distinction_alpha(k29, cut),
+                 lambda: sc.distinguished_condition(k29, cut),
+                 lambda: sc.enumerate_locally_stable_cuts(k29, 1.0),
+                 lambda: next(cut_sides(29)),
+                 lambda: sc.instance_stability(k29)):
+        with pytest.raises(SizeLimitError, match=r"^exhaustive scan capped at n <= 28, got 29$"):
             scan()
+
+
+def test_instance_stability_reaches_past_24():
+    # the complete bipartite graph has a unique maximum cut, infinitely
+    # stable, so its distinction equals its Cheeger constant
+    rep = sc.instance_stability(sc.gen_planted_partition(25, 1.0, 0.0, 1).instance)
+    assert rep.gamma == rep.gamma_local == INF
+    assert rep.is_unique_maxcut
+    assert rep.alpha == rep.cheeger
 
 
 def test_cut_stability_examples(c4, k3, k22_heavy, c4_maxcut):
