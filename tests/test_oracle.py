@@ -30,12 +30,20 @@ def test_brute_force_examples(c4, k3):
     assert (w, count) == (4.0, 3)
 
 
+def test_brute_force_size_cap(k3):
+    # the max cut shares the one scan cap; there is no per-call cap to pass
+    with pytest.raises(TypeError):
+        sc.brute_force_maxcut(k3, max_n=2)
+    k29 = sc.Instance(np.ones((29, 29)) - np.eye(29))
+    with pytest.raises(SizeLimitError, match=r"^exhaustive scan capped at n <= 28, got 29$"):
+        sc.brute_force_maxcut(k29)
+
+
 def test_subset_scan_size_cap():
-    # every exhaustive scan stops before scanning when n > 28
+    # every other exhaustive scan stops before scanning when n > 28
     k29 = sc.Instance(np.ones((29, 29)) - np.eye(29))
     cut = sc.Cut(np.arange(29) % 2 == 0)
-    for scan in (lambda: sc.brute_force_maxcut(k29),
-                 lambda: subset_scan_minima(k29.weights, cut.delta),
+    for scan in (lambda: subset_scan_minima(k29.weights, cut.delta),
                  lambda: subset_scan_minima(k29.weights, None),
                  lambda: sc.cheeger_constant(k29),
                  lambda: sc.cut_stability_gamma(k29, cut),
