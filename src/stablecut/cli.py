@@ -18,7 +18,6 @@ import time
 
 import numpy as np
 
-from . import acceptance
 from .dense import DenseSolverConfig, dense_solve
 from .errors import SolverFailure, StableCutError
 from .generators import (
@@ -30,6 +29,7 @@ from .generators import (
     gen_tightness_example,
 )
 from .instance import (
+    check_cut,
     cut_to_json,
     cut_weight,
     load_cut,
@@ -207,9 +207,11 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     given = load_cut(args.cut) if args.cut else None
+    if given is not None:
+        check_cut(inst, given)  # a wrong-size cut fails here, before the max-cut scan
     opt, _, count = brute_force_maxcut(inst)
     cut = opt if given is None else given
-    weight = cut_weight(inst, cut)  # also rejects a cut of the wrong size
+    weight = cut_weight(inst, cut)
     gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
     if given is None and count > 1:
         gamma = 1.0  # the clamp of instance_stability: a tied optimum is only 1-stable
@@ -270,6 +272,7 @@ def _cmd_split(args) -> int:
 
 
 def _bench_acceptance(seed: int) -> dict:
+    from . import acceptance
     results = acceptance.run_all(seed)
     rows = []
     for r in results:
@@ -314,6 +317,7 @@ def _bench_stability_sweep(seed: int) -> dict:
 
 
 def _bench_gw_gap(seed: int) -> dict:
+    from . import acceptance
     pool = acceptance.gw_pool(seed, 60)
     worst = 0.0
     converged = 0
@@ -330,12 +334,16 @@ def _bench_gw_gap(seed: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
+    # acceptance is imported here and in the suites, not at the top, so the
+    # other commands never load it
+    from . import acceptance
+    seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
     if args.suite == "acceptance":
-        doc = _bench_acceptance(args.seed)
+        doc = _bench_acceptance(seed)
     elif args.suite == "stability-sweep":
-        doc = _bench_stability_sweep(args.seed)
+        doc = _bench_stability_sweep(seed)
     elif args.suite == "gw-gap":
-        doc = _bench_gw_gap(args.seed)
+        doc = _bench_gw_gap(seed)
     _emit(doc)
     return 0
 
@@ -411,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark suites")
     p.add_argument("--suite", required=True,
                    choices=["acceptance", "stability-sweep", "gw-gap"])
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help="defaults to the acceptance battery's DEFAULT_SEED")
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -235,14 +235,20 @@ def contract(weights: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarra
     if not (0 <= u < n and 0 <= v < n):
         raise ParameterError("merge endpoints out of range")
     a, b = min(u, v), max(u, v)
-    W = weights.copy()
-    W[a] += W[b]
-    W[:, a] += W[:, b]
+    W = np.empty((n - 1, n - 1), dtype=weights.dtype)
+    W[:b, :b] = weights[:b, :b]
+    W[:b, b:] = weights[:b, b + 1:]
+    W[b:, :b] = weights[b + 1:, :b]
+    W[b:, b:] = weights[b + 1:, b + 1:]
+    W[a, :b] += weights[b, :b]
+    W[a, b:] += weights[b, b + 1:]
+    W[:b, a] += weights[:b, b]
+    W[b:, a] += weights[b + 1:, b]
     W[a, a] = 0.0
     mapping = np.arange(n)
     mapping[b:] -= 1
     mapping[b] = a
-    return np.delete(np.delete(W, b, axis=0), b, axis=1), mapping
+    return W, mapping
 
 
 def apply_perturbation(inst: Instance, factors) -> tuple[Instance, float]:

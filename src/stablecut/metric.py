@@ -20,7 +20,8 @@ import numpy as np
 
 from .dense import DenseSolverConfig, best_induced_cut, draw_samples
 from .errors import DegenerateInstanceError, ParameterError, PreconditionError
-from .instance import Cut, Instance, REL_TOL, check_cut, cut_weight, is_metric
+from .instance import (Cut, Instance, REL_TOL, check_cut, cut_weight, cut_weights_for_sides,
+                       is_metric)
 
 # Absorbs representation error in floor(tau) after floating-point
 # normalization; tau >= n analytically so a one-off cannot occur.
@@ -116,24 +117,20 @@ def metric_dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:
     return best_induced_cut(inst, scaled, pi[samples], cfg)
 
 
-def enumerate_balls(inst: Instance) -> list[np.ndarray]:
-    """Membership vectors of all distinct closed balls B(c, r) = {y : w(c, y) <= r}.
+def enumerate_balls(inst: Instance) -> np.ndarray:
+    """Membership rows, as one (k, n) boolean array, of all distinct closed
+    balls B(c, r) = {y : w(c, y) <= r}.
 
     Radii sweep the exact distance values from each center plus radius 0
     (the singleton ball), which exhausts the distinct balls; B(c, V) is
-    skipped since it cannot form a cut.
+    skipped since it cannot form a cut.  Rows run by center, then by
+    increasing radius; one broadcast compare builds each center's rows.
     """
-    n = inst.n
-    W = inst.weights
-    balls = []
-    for c in range(n):
-        radii = np.unique(np.concatenate(([0.0], W[c])))
-        for r in radii:
-            inside = W[c] <= r
-            if inside.all():
-                continue
-            balls.append(inside)
-    return balls
+    blocks = []
+    for row in inst.weights:
+        inside = row <= np.unique(np.concatenate(([0.0], row)))[:, None]
+        blocks.append(inside[~inside.all(axis=1)])
+    return np.concatenate(blocks)
 
 
 def ball_enumeration_solve(inst: Instance) -> Cut:
@@ -142,14 +139,28 @@ def ball_enumeration_solve(inst: Instance) -> Cut:
     On instances whose maximum cut is locally stable above 3 one side of the
     optimum is a ball, so the scan is exact there; below that threshold it
     simply returns the best ball cut, which may be suboptimal.
+
+    The balls are scored n rows at a time with the quadratic identity of
+    ``cut_weights_for_sides``.  That score and ``cut_weight`` each lie within
+    (n^2 + n + 1) eps/2 * w(V, V) of the exact cut weight, so they differ by
+    at most half of ``margin``, and only a ball scoring within ``margin`` of
+    its block's maximum can be the heaviest by ``cut_weight``.  Those balls
+    are weighed with ``cut_weight`` in enumeration order and the first
+    maximum wins, so the pick is the one a ``cut_weight`` of every ball gives.
     """
     _require_metric(inst)
+    n, W = inst.n, inst.weights
+    margin = 2.0 * (n * n + n + 1) * np.finfo(float).eps * float(W.sum())
+    balls = enumerate_balls(inst)
     best_w = -math.inf
     best = None
-    for inside in enumerate_balls(inst):
-        w = cut_weight(inst, Cut(inside))
-        if w > best_w:
-            best_w, best = w, inside
+    for start in range(0, len(balls), n):
+        block = balls[start:start + n]
+        scores = cut_weights_for_sides(W, block.T)
+        for inside in block[scores >= scores.max() - margin]:
+            w = cut_weight(inst, Cut(inside))
+            if w > best_w:
+                best_w, best = w, inside
     return Cut(best)
 
 

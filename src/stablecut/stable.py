@@ -130,23 +130,25 @@ def find_same_side_pair_sqrt(W: np.ndarray, gamma: float) -> MergeWitness:
             f"gamma={gamma:g} must exceed sqrt(8n+4)+1 = {threshold:g} at n={n}")
     mu = W.sum(axis=1)
 
-    heavy = W > mu[:, None] / (gamma + 1.0)
-    t1 = heavy | heavy.T
-    t1_edges = np.argwhere(np.triu(t1, 1))
-    owner: dict[int, tuple[int, int]] = {}
-    for e in map(tuple, t1_edges.tolist()):
-        for shared, far in (e, e[::-1]):
-            if shared in owner:
-                other = owner[shared]
-                return MergeWitness(kind="t1-incident-pair",
-                                    pair=_lex_edge(far, sum(other) - shared),
-                                    evidence={"edges": [other, e], "shared": shared})
-        owner[e[0]] = owner[e[1]] = e
+    # T1 row by row in lexicographic order; partner[v] is the far end of the
+    # T1 edge that claimed v, -1 while v has none
+    lim = mu / (gamma + 1.0)
+    partner = np.full(n, -1)
+    for i in range(n - 1):
+        row = np.flatnonzero((W[i, i + 1:] > lim[i]) | (W[i + 1:, i] > lim[i + 1:])) + (i + 1)
+        for j in row.tolist():
+            for shared, far in ((i, j), (j, i)):
+                if partner[shared] >= 0:
+                    other = int(partner[shared])
+                    return MergeWitness(kind="t1-incident-pair", pair=_lex_edge(far, other),
+                                        evidence={"edges": [_lex_edge(shared, other), (i, j)],
+                                                  "shared": shared})
+            partner[i], partner[j] = j, i
 
     # T1 is a matching from here on; an unmatched vertex has partner -1, and
     # np.where drops the tau term read through that index
-    partner = np.full(n, -1)
-    partner[t1_edges[:, 0]], partner[t1_edges[:, 1]] = t1_edges[:, 1], t1_edges[:, 0]
+    heavy = W > lim[:, None]
+    t1 = heavy | heavy.T
     matched = partner >= 0
     w_hat = np.where(matched, mu + mu[partner] - 2.0 * W[np.arange(n), partner], mu)
     t2 = (W > w_hat[:, None] / (gamma + 1.0)) & ~t1 & matched[:, None]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stablecut as sc
-from stablecut import stable
+from stablecut import acceptance, cli, stable
 from stablecut.cli import main
 from stablecut.errors import PreconditionError
 from stablecut.oracle import subset_scan_minima
@@ -173,6 +173,18 @@ def test_verify_rejects_non_cut(tmp_path, capsys):
         bad.write_text(text)
         code, _ = run(capsys, "verify", c4, "--cut", str(bad))
         assert code == 2
+
+
+def test_verify_rejects_a_wrong_size_cut_before_the_scan(tmp_path, capsys, monkeypatch):
+    def no_scan(inst):
+        raise AssertionError("the max-cut scan ran on a cut of the wrong size")
+
+    monkeypatch.setattr(cli, "brute_force_maxcut", no_scan)
+    short = tmp_path / "short.json"
+    short.write_text('{"side": [1, 0, 1]}')
+    code = main(["verify", write_c4(tmp_path), "--cut", str(short)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "cut has 3 vertices, instance has 4"
 
 
 def test_malformed_instance_exits_2(tmp_path, capsys):
@@ -355,6 +367,23 @@ def test_bench_gw_gap(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_below_1e-6"] is True and doc["converged"] > 0
+
+
+def test_bench_seed_defaults_to_the_acceptance_seed(capsys, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "_bench_stability_sweep", lambda seed: seeds.append(seed) or {})
+    assert main(["bench", "--suite", "stability-sweep"]) == 0
+    assert main(["bench", "--suite", "stability-sweep", "--seed", "3"]) == 0
+    assert seeds == [acceptance.DEFAULT_SEED, 3] and acceptance.DEFAULT_SEED == 20260801
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, stablecut.cli; print('stablecut.acceptance' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_python_m_stablecut_runs_from_a_checkout(tmp_path):

@@ -186,6 +186,44 @@ def test_contract_examples(c4, k3):
             contract(k3.weights, u, v)
 
 
+def _ref_contract(weights, u, v):
+    """The replaced contraction: a full copy, then two np.delete calls."""
+    n = weights.shape[0]
+    a, b = min(u, v), max(u, v)
+    W = weights.copy()
+    W[a] += W[b]
+    W[:, a] += W[:, b]
+    W[a, a] = 0.0
+    mapping = np.arange(n)
+    mapping[b:] -= 1
+    mapping[b] = a
+    return np.delete(np.delete(W, b, axis=0), b, axis=1), mapping
+
+
+def _assert_contract_matches(W, u, v):
+    got, got_mapping = contract(W, u, v)
+    want, want_mapping = _ref_contract(W, u, v)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (u, v)
+    assert np.array_equal(got_mapping, want_mapping)
+
+
+def test_contract_matches_copy_and_delete():
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        for W in (random_instance(rng, n).weights, rng.random((n, n))):  # symmetric, asymmetric
+            for u in range(n):
+                for v in range(n):
+                    if u != v:
+                        _assert_contract_matches(W, u, v)
+    for W in (random_instance(rng, 200).weights, rng.random((200, 200))):
+        for u, v in rng.integers(0, 200, (20, 2)).tolist():
+            if u != v:
+                _assert_contract_matches(W, u, v)
+        for u, v in ((0, 199), (199, 0), (198, 199), (0, 1)):
+            _assert_contract_matches(W, u, v)
+
+
 def test_merge_preserves_lifted_cut_weights():
     rng = np.random.default_rng(3)
     for _ in range(20):

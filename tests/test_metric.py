@@ -286,6 +286,57 @@ def test_ball_property_on_stable_metrics():
                              sc.ball_enumeration_solve(planted.instance)) == pytest.approx(w)
 
 
+def _ref_enumerate_balls(inst):
+    """The replaced per-radius enumeration: a list of membership vectors."""
+    W = inst.weights
+    balls = []
+    for c in range(inst.n):
+        for r in np.unique(np.concatenate(([0.0], W[c]))):
+            inside = W[c] <= r
+            if not inside.all():
+                balls.append(inside)
+    return balls
+
+
+def _ref_ball_solve(inst):
+    """The replaced per-ball loop: a Cut and a cut_weight per ball, first maximum wins."""
+    best_w, best = -np.inf, None
+    for inside in _ref_enumerate_balls(inst):
+        w = sc.cut_weight(inst, sc.Cut(inside))
+        if w > best_w:
+            best_w, best = w, inside
+    return sc.Cut(best)
+
+
+def _ball_pool():
+    # the set where a plain argmax of the quadratic identity printed the complement
+    pool = [sc.gen_euclidean_metric(12, 2, 4.0, seed).instance for seed in range(40)]
+    pool += [sc.gen_euclidean_metric(n, 2, 10.0, seed).instance
+             for n in (24, 40) for seed in (5, 11)]
+    pool += [sc.gen_tightness_example(pairs).instance for pairs in (2, 3, 4)]
+    rng = np.random.default_rng(19)
+    for _ in range(30):  # weights 1 and 2 always form a metric, with ties everywhere
+        n = int(rng.integers(2, 16))
+        W = np.triu(rng.integers(1, 3, (n, n)), 1).astype(float)
+        pool.append(sc.Instance(W + W.T))
+    pool.append(sc.Instance(np.ones((9, 9)) - np.eye(9)))  # every ball ties with its peers
+    for _ in range(200):  # exact ties that float sums break by an ulp, either way
+        n = int(rng.integers(4, 16))
+        W = np.triu(rng.choice([0.1, 0.15, 0.2], (n, n)), 1)
+        pool.append(sc.Instance(W + W.T))
+    return pool
+
+
+def test_ball_solve_matches_per_ball_loop():
+    for k, inst in enumerate(_ball_pool()):
+        balls = enumerate_balls(inst)
+        ref = _ref_enumerate_balls(inst)
+        assert balls.dtype == bool and balls.shape == (len(ref), inst.n), k
+        assert all(np.array_equal(row, want) for row, want in zip(balls, ref)), k
+        got = sc.ball_enumeration_solve(inst)
+        assert got.side.tobytes() == _ref_ball_solve(inst).side.tobytes(), k
+
+
 def test_cut_edge_lower_bound(pair_metric):
     cut = sc.Cut([True, True, False, False])
     check = sc.cut_edge_lower_bound_check(pair_metric, cut, 4.0)
