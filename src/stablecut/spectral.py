@@ -6,8 +6,10 @@ D' = D^cut - D^uncut.  Then (W + D') delta = 0 always, and when the cut is
 locally stable enough relative to the expansion of its cut edges, W + D' is
 positive semidefinite with rank n-1 — a certificate that pins the maximum
 cut down to the sign pattern of the kernel.  ``build_spectral_bundle`` is
-the one place W + D' and its spectrum are formed; the PSD certificate, the
-bipolarity battery and the strongly bipolar perturbation all read it.
+the one place W + D' is formed; the PSD certificate, the bipolarity battery
+and the strongly bipolar perturbation all read it.  Its spectrum is computed
+only when a caller reads it; every PSD decision that needs no eigenvalue is
+made by Cholesky factorization instead.
 
 The relaxation side solves
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,15 +71,26 @@ def weight_scale(W: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _positive_definite(M: np.ndarray) -> bool:
+    """True when the Cholesky factorization of M succeeds."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SpectralBundle:
-    """W + D' at a cut with its spectrum: the one place the shift is formed.
+    """W + D' at a cut: the one place the shift is formed.
 
     ``cut_part`` is W on the separated pairs (zero elsewhere) and ``shift``
     the diagonal of D' = D^cut - D^uncut, stored as a vector, so that
     ``shifted`` = W + D' annihilates ``delta``.  ``tol`` is
-    eig_zero_tol(shifted).  ``kernel_vector`` is the eigenvector of the
-    smallest eigenvalue when that eigenvalue is numerically zero, else None.
+    eig_zero_tol(shifted).  ``eigenvalues`` (ascending) and ``kernel_vector``
+    (the eigenvector of the smallest eigenvalue when that eigenvalue is
+    numerically zero, else None) both come from one ``np.linalg.eigh`` of
+    ``shifted``, run the first time either is read.
     """
 
     delta: np.ndarray
@@ -84,8 +98,19 @@ class SpectralBundle:
     shift: np.ndarray
     shifted: np.ndarray
     tol: float
-    eigenvalues: np.ndarray
-    kernel_vector: np.ndarray | None
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.shifted)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
+    def kernel_vector(self) -> np.ndarray | None:
+        eigenvalues, vectors = self._eigh
+        return vectors[:, 0] if abs(eigenvalues[0]) <= self.tol else None
 
 
 def _cut_part(inst: Instance, cut: Cut) -> np.ndarray:
@@ -101,30 +126,30 @@ def build_spectral_bundle(inst: Instance, cut: Cut) -> SpectralBundle:
     W = inst.weights
     shift = cut_part.sum(axis=1) - (W - cut_part).sum(axis=1)
     shifted = W + np.diag(shift)
-    tol = eig_zero_tol(shifted)
-    eigenvalues, vectors = np.linalg.eigh(shifted)
-    kernel = vectors[:, 0] if abs(eigenvalues[0]) <= tol else None
     return SpectralBundle(delta=cut.delta, cut_part=cut_part, shift=shift, shifted=shifted,
-                          tol=tol, eigenvalues=eigenvalues, kernel_vector=kernel)
+                          tol=eig_zero_tol(shifted))
 
 
 def psd_rank_certificate(bundle: SpectralBundle) -> str:
-    """"certified" iff W + D' is PSD of rank n-1 and its kernel reproduces the cut.
+    """"certified" iff W + D' is PSD of rank n-1, with kernel span(delta).
 
-    Other verdicts: "not-psd" (negative eigenvalue) and "rank-deficient"
-    (kernel dimension above one, or a kernel whose sign pattern does not
-    match the cut).
+    Other verdicts: "rank-deficient" (PSD, kernel dimension above one) and
+    "not-psd" (an eigenvalue below -tol).  Since (W + D') delta = 0, the
+    matrix L = W + D' + c delta delta^T with c = 1 + max |W + D'| moves
+    delta's eigenvalue from 0 to about c n and keeps every other eigenvalue,
+    so the verdict is "certified" when L - tol I is positive definite (the
+    second-smallest eigenvalue of W + D' exceeds tol), else "rank-deficient"
+    when L + tol I is, else "not-psd".  Two Cholesky factorizations at most,
+    and no eigendecomposition.
     """
-    tol = bundle.tol
-    ev = bundle.eigenvalues
-    if ev[0] < -tol:
-        return "not-psd"
-    if ev.shape[0] < 2 or ev[1] <= tol or bundle.kernel_vector is None:
+    M = bundle.shifted
+    L = M + (1.0 + float(np.abs(M).max())) * np.outer(bundle.delta, bundle.delta)
+    tol_eye = bundle.tol * np.eye(M.shape[0])
+    if _positive_definite(L - tol_eye):
+        return "certified"
+    if _positive_definite(L + tol_eye):
         return "rank-deficient"
-    aligned = bundle.kernel_vector * bundle.delta
-    if not ((aligned > 1e-8).all() or (aligned < -1e-8).all()):
-        return "rank-deficient"
-    return "certified"
+    return "not-psd"
 
 
 @dataclass(frozen=True)
@@ -330,12 +355,9 @@ def _step_length(M: np.ndarray, dM: np.ndarray) -> float:
     """
     a = 1.0
     for _ in range(100):
-        try:
-            np.linalg.cholesky(M + a * dM)
-        except np.linalg.LinAlgError:
-            a *= 0.8
-            continue
-        return a if a == 1.0 else 0.95 * a
+        if _positive_definite(M + a * dM):
+            return a if a == 1.0 else 0.95 * a
+        a *= 0.8
     return 0.0
 
 
@@ -412,7 +434,7 @@ def gw_dual_extract(inst: Instance, gram: np.ndarray) -> DualExtraction:
         raise ParameterError("gram matrix has the wrong shape")
     if np.abs(np.diagonal(P) - 1.0).max() > 1e-6:
         raise ParameterError("gram diagonal must be 1")
-    if float(np.linalg.eigvalsh(P)[0]) < -eig_zero_tol(P):
+    if not _positive_definite(P + eig_zero_tol(P) * np.eye(inst.n)):
         raise ParameterError("gram matrix must be PSD")
     W = inst.weights
     d = np.diagonal(P @ W).copy()
@@ -545,7 +567,7 @@ def strongly_bipolar_perturb(inst: Instance, cut: Cut, eps: float) -> Instance:
     if eps < 0.0:
         raise ParameterError("eps must be >= 0")
     bundle = build_spectral_bundle(inst, cut)
-    if bundle.eigenvalues[0] < -bundle.tol:
+    if not _positive_definite(bundle.shifted + bundle.tol * np.eye(inst.n)):
         raise PreconditionError("cut is not bipolar for this instance")
     if eps == 0.0:
         return inst

@@ -65,6 +65,127 @@ def test_bundle_decomposition_identities():
         assert np.abs(b.shifted @ b.delta).max() <= 1e-12 * scale
 
 
+def _reference_certificate(bundle):
+    """The eigendecomposition rule that ``psd_rank_certificate`` replaced."""
+    tol = bundle.tol
+    ev, vectors = np.linalg.eigh(bundle.shifted)
+    if ev[0] < -tol:
+        return "not-psd"
+    if ev.shape[0] < 2 or ev[1] <= tol or abs(ev[0]) > tol:
+        return "rank-deficient"
+    aligned = vectors[:, 0] * bundle.delta
+    if not ((aligned > 1e-8).all() or (aligned < -1e-8).all()):
+        return "rank-deficient"
+    return "certified"
+
+
+def _reference_gram_is_psd(P):
+    """The eigenvalue check that ``gw_dual_extract`` ran on its input."""
+    return not float(np.linalg.eigvalsh(P)[0]) < -eig_zero_tol(P)
+
+
+def _reference_is_bipolar(bundle):
+    """The eigenvalue precondition that ``strongly_bipolar_perturb`` ran."""
+    return not np.linalg.eigh(bundle.shifted)[0][0] < -bundle.tol
+
+
+def _certificate_cases(c4, k3):
+    """(instance, cut) pairs: every generator family, integer and float weights, n = 2 to 200."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    k4 = sc.Instance(np.ones((4, 4)) - np.eye(4))
+    cases = [(c4, sc.Cut([True, False, True, False])), (c4, sc.Cut([True, True, False, False])),
+             (k3, sc.Cut([True, False, False])), (k4, sc.Cut([True, True, False, False]))]
+    # criterion 9's families at n <= 16: the optimum and two random cuts of each
+    for inst in gw_pool(DEFAULT_SEED, 36):
+        cases.append((inst, sc.brute_force_maxcut(inst)[0]))
+        cases += [(inst, random_cut(rng, inst.n)) for _ in range(2)]
+    # the planted cuts up to n = 200, and a random cut of each instance
+    for n in (24, 64, 200):
+        planted = [sc.gen_stable_bipartite_noise(n, 20.0, n),
+                   sc.gen_planted_partition(n, 0.9, 0.1, n),
+                   sc.gen_euclidean_metric(n, 2, 10.0, n),
+                   sc.gen_tightness_example(n // 4),
+                   sc.gen_infinite_stable_not_distinguished(n // 2, 1e-3)]
+        pairs = [(p.instance, p.planted_cut) for p in planted]
+        matching = sc.gen_matching_epsilon(n // 2, 1e-3)
+        pairs.append((matching, sc.Cut(np.arange(n) % 2 == 0)))  # separates every matched pair
+        for inst, cut in pairs:
+            cases += [(inst, cut), (inst, random_cut(rng, n))]
+    # random integer and float weights: the optimum up to n = 13, random cuts above
+    for n in (2, 3, 5, 8, 13, 40, 120, 200):
+        for W in (rng.integers(1, 5, (n, n)).astype(float), rng.random((n, n))):
+            W = np.triu(W, 1)
+            inst = sc.Instance(W + W.T)
+            cut = sc.brute_force_maxcut(inst)[0] if n <= 13 else random_cut(rng, n)
+            cases += [(inst, cut), (inst, random_cut(rng, n))]
+    return cases
+
+
+def test_cholesky_decisions_match_the_eigenvalue_rules(c4, k3):
+    verdicts = []
+    for inst, cut in _certificate_cases(c4, k3):
+        bundle = sc.build_spectral_bundle(inst, cut)
+        verdict = sc.psd_rank_certificate(bundle)
+        assert verdict == _reference_certificate(bundle), (inst.n, cut.side)
+        verdicts.append(verdict)
+        if _reference_is_bipolar(bundle):
+            sc.strongly_bipolar_perturb(inst, cut, 0.1)
+        else:
+            with pytest.raises(PreconditionError, match="^cut is not bipolar for this instance$"):
+                sc.strongly_bipolar_perturb(inst, cut, 0.1)
+    assert set(verdicts) == {"certified", "rank-deficient", "not-psd"}
+
+    rng = np.random.default_rng(DEFAULT_SEED)
+    grams = [(inst, sc.gw_primal_solve(inst, seed=1).gram) for inst in gw_pool(DEFAULT_SEED, 12)]
+    for n in (2, 3, 5, 16, 64, 200):
+        inst = sc.Instance(np.ones((n, n)) - np.eye(n))
+        delta = random_cut(rng, n).delta
+        V = rng.normal(size=(n, 3))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        A = (A + A.T) / 2
+        np.fill_diagonal(A, 1.0)
+        grams += [(inst, np.outer(delta, delta)), (inst, V @ V.T), (inst, A),
+                  (inst, 0.999 * np.outer(delta, delta) + 0.001 * A)]
+    outcomes = set()
+    for inst, P in grams:
+        psd = _reference_gram_is_psd(P)
+        outcomes.add(psd)
+        if psd:
+            sc.gw_dual_extract(inst, P)
+        else:
+            with pytest.raises(ParameterError, match="^gram matrix must be PSD$"):
+                sc.gw_dual_extract(inst, P)
+    assert outcomes == {True, False}
+
+
+def test_certificate_path_decomposes_nothing(monkeypatch, c4, k3):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate path ran an eigendecomposition")
+
+    cases = _certificate_cases(c4, k3)[::7]
+    with monkeypatch.context() as m:
+        m.setattr(spectral.np.linalg, "eigh", refuse)
+        m.setattr(spectral.np.linalg, "eigvalsh", refuse)
+        bundles = []
+        for inst, cut in cases:
+            bundle = sc.build_spectral_bundle(inst, cut)
+            if sc.psd_rank_certificate(bundle) == "not-psd":
+                with pytest.raises(PreconditionError):
+                    sc.strongly_bipolar_perturb(inst, cut, 0.1)
+            else:
+                sc.strongly_bipolar_perturb(inst, cut, 0.1)
+            bundles.append(bundle)
+    for bundle in bundles:
+        ev, vectors = np.linalg.eigh(bundle.shifted)
+        assert bundle.eigenvalues.tobytes() == ev.tobytes()
+        assert bundle.eigenvalues is bundle.eigenvalues  # decomposed once
+        if abs(ev[0]) > bundle.tol:
+            assert bundle.kernel_vector is None
+        else:
+            assert bundle.kernel_vector.tobytes() == vectors[:, 0].tobytes()
+
+
 def test_distinguished_condition(c4, k3, c4_maxcut):
     rep = sc.distinguished_condition(c4, c4_maxcut)
     assert rep.cut_cheeger == 0.5
