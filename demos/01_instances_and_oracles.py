@@ -22,9 +22,12 @@ report = sc.instance_stability(c4)
 print("C4 stability report:", report)
 print("  -> gamma = inf because the 4-cycle is bipartite")
 
-# Subset bookkeeping: xi counts cut edges leaving a subset, iota the rest.
-stats = sc.subset_stats(c4, cut, (0, 1))
-print("subset {0,1}:", stats)
+# Subset bookkeeping: of the weight leaving a subset A, xi crosses the cut
+# and iota does not.
+in_a = np.isin(np.arange(c4.n), (0, 1))
+leaving = c4.weights[np.ix_(in_a, ~in_a)]
+crossing = cut.side[in_a][:, None] != cut.side[~in_a][None, :]
+print("subset {0,1}: xi =", leaving[crossing].sum(), "iota =", leaving[~crossing].sum())
 
 # The triangle has three optimal cuts, hence stability exactly 1.
 k3 = sc.Instance(np.ones((3, 3)) - np.eye(3))
@@ -45,7 +48,8 @@ rng = np.random.default_rng(0)
 factors = np.triu(rng.uniform(1.0, 3.0, (4, 4)), 1)
 factors += factors.T
 np.fill_diagonal(factors, 1.0)
-perturbed, gamma = sc.apply_perturbation(heavy, factors)
+perturbed = sc.Instance(heavy.weights * factors)
+gamma = factors[heavy.weights > 0].max()
 print("\nperturbed by factors up to", round(gamma, 3),
       "| optimum still:", sc.brute_force_maxcut(perturbed)[0])
 

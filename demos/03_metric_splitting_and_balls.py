@@ -25,7 +25,8 @@ print(f"\nnormalized by {scale:.3f}; split blows up n=10 into {smap.split.n}"
 print("split density:", round(sc.density_coefficient(smap.split), 3),
       "<= 4/(1-1/n)^2 =", round(4 / (1 - 0.1) ** 2, 3))
 
-lifted = sc.lift_cut(smap, opt)
+# A cut lifts to the split by putting every copy on its vertex's side.
+lifted = sc.Cut(opt.side[smap.pi])
 print("lifted optimum weight:", round(sc.cut_weight(smap.split, lifted), 6),
       "| original (normalized):", round(sc.cut_weight(normalized, opt), 6))
 

@@ -61,8 +61,10 @@ target = np.outer(maxcut.delta, maxcut.delta)
 print("\nafter the 1.1x cut-edge boost, max |Gram - delta delta^T| over 3 seeds:",
       f"{max(np.abs(g - target).max() for g in grams):.2e}")
 
-# A least eigenvector with lopsided coordinates certifies less: the
-# coordinate-ratio condition quantifies how much stability compensates.
-print("\ncoordinate ratio condition, u = (1,2,1,2):",
-      "needs stability >= 4 ->",
-      sc.glev_stability_condition(c4, 4.0, [1, 2, 1, 2]))
+# A least eigenvector with lopsided coordinates certifies less: the cut of
+# a least eigenvector u of a PSD diagonal shift is the maximum cut once the
+# stability is at least max |u_i u_j| / min |u_i u_j| over vertex pairs.
+u = np.array([1.0, 2.0, 1.0, 2.0])
+products = np.abs(np.outer(u, u))[np.triu_indices(c4.n, k=1)]
+print("\ncoordinate ratio of u = (1,2,1,2):", products.max() / products.min(),
+      "-> needs stability >= 4")

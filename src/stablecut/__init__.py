@@ -10,8 +10,6 @@ from .instance import (
     Cut,
     Instance,
     MetricCheck,
-    SubsetStats,
-    apply_perturbation,
     cut_from_json,
     cut_to_json,
     cut_weight,
@@ -24,7 +22,6 @@ from .instance import (
     same_bipartition,
     save_cut,
     save_instance,
-    subset_stats,
 )
 from .oracle import (
     StabilityReport,
@@ -50,10 +47,8 @@ from .metric import (
     SplitMap,
     ball_enumeration_solve,
     cut_edge_lower_bound_check,
-    lift_cut,
     metric_dense_solve,
     normalize_total_weight,
-    project_cut,
     split_instance,
 )
 from .stable import (
@@ -74,8 +69,6 @@ from .spectral import (
     build_spectral_bundle,
     distinguished_condition,
     glev_cut,
-    glev_scaling_perturbation,
-    glev_stability_condition,
     gw_dual_extract,
     gw_primal_solve,
     gw_round,

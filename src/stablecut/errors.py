@@ -13,10 +13,6 @@ class InvalidCutError(StableCutError):
     """A cut must put at least one vertex on each side and match the instance's size."""
 
 
-class InvalidSubsetError(StableCutError):
-    """Subset queries require a nonempty proper subset of the vertices."""
-
-
 class SizeLimitError(StableCutError):
     """Exhaustive oracle invoked above its configured vertex cap."""
 

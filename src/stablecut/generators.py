@@ -81,7 +81,7 @@ def gen_stable_bipartite_noise(n: int, gamma_target: float, seed: int) -> Plante
     scale.  For n <= 20 the level achieved is confirmed by the exact subset
     oracle; above that only per-vertex (local) stability is verified.
     """
-    if gamma_target < 1.0:
+    if not gamma_target >= 1.0:
         raise ParameterError("gamma_target must be >= 1")
     if n < 4 or n % 2:
         raise ParameterError("need an even n >= 4")

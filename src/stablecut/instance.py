@@ -1,4 +1,4 @@
-"""Core data model: weighted MAXCUT instances, cuts, and subset bookkeeping.
+"""Core data model: weighted MAXCUT instances, cuts, cut weights and JSON I/O.
 
 Weights are a symmetric nonnegative matrix with zero diagonal whose support
 graph is connected.  Instances and cuts are immutable after construction and
@@ -18,7 +18,6 @@ from .errors import (
     DegenerateInstanceError,
     InvalidCutError,
     InvalidInstanceError,
-    InvalidSubsetError,
     ParameterError,
 )
 
@@ -148,60 +147,10 @@ def same_bipartition(a: Cut, b: Cut) -> bool:
     return np.array_equal(a.side, b.side) or np.array_equal(a.side, ~b.side)
 
 
-@dataclass(frozen=True)
-class SubsetStats:
-    """Weights of edges leaving a subset A, classified against a cut.
-
-    xi: cut edges leaving A.  iota: non-cut edges leaving A.
-    tau: all edges leaving A (xi + iota).  mu: all edges touching A,
-    i.e. the sum of weighted degrees over A (internal edges count twice).
-    """
-
-    xi: float
-    iota: float
-    tau: float
-    mu: float
-
-
 def check_cut(inst: Instance, cut: Cut) -> None:
     """Raise InvalidCutError unless the cut has one side entry per vertex of inst."""
     if cut.n != inst.n:
         raise InvalidCutError(f"cut has {cut.n} vertices, instance has {inst.n}")
-
-
-def _subset_indices(inst: Instance, subset) -> np.ndarray:
-    if isinstance(subset, (int, np.integer)):
-        subset = (int(subset),)
-    idx = np.array(sorted({int(v) for v in subset}), dtype=int)
-    if idx.size == 0:
-        raise InvalidSubsetError("subset must be nonempty")
-    if idx.size >= inst.n:
-        raise InvalidSubsetError("subset must be a proper subset of the vertices")
-    if idx.min() < 0 or idx.max() >= inst.n:
-        raise InvalidSubsetError("subset contains out-of-range vertices")
-    return idx
-
-
-def subset_stats(inst: Instance, cut: Cut, subset) -> SubsetStats:
-    """Compute xi/iota/tau/mu of a vertex subset relative to a cut.
-
-    ``subset`` may be a single vertex, a pair, or any iterable of vertices.
-    ``iota = tau - xi`` holds exactly by construction, and ``tau <= mu``.
-    """
-    check_cut(inst, cut)
-    idx = _subset_indices(inst, subset)
-    W = inst.weights
-    in_a = np.zeros(inst.n, dtype=bool)
-    in_a[idx] = True
-    out = ~in_a
-    boundary = W[np.ix_(idx, np.flatnonzero(out))]
-    separated = cut.side[idx][:, None] != cut.side[out][None, :]
-    xi = float(boundary[separated].sum())
-    iota = float(boundary[~separated].sum())
-    # tau = xi + iota and mu = tau + internal hold exactly even in floats
-    tau = xi + iota
-    internal = float(W[np.ix_(idx, idx)].sum())
-    return SubsetStats(xi=xi, iota=iota, tau=tau, mu=tau + internal)
 
 
 def cut_weight(inst: Instance, cut: Cut) -> float:
@@ -249,26 +198,6 @@ def contract(weights: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarra
     mapping[b:] -= 1
     mapping[b] = a
     return W, mapping
-
-
-def apply_perturbation(inst: Instance, factors) -> tuple[Instance, float]:
-    """Multiply weights entrywise by factors >= 1.
-
-    Returns the perturbed instance and the implied gamma: the largest factor
-    applied to a positive-weight edge.
-    """
-    F = np.asarray(factors, dtype=np.float64)
-    if F.shape != inst.weights.shape:
-        raise ParameterError(f"factors must have shape {inst.weights.shape}")
-    if not np.array_equal(F, F.T):
-        raise ParameterError("factors must be symmetric")
-    if (F < 1.0).any() or not np.isfinite(F).all():
-        raise ParameterError("every factor must be a finite number >= 1")
-    W2 = inst.weights * F
-    np.fill_diagonal(W2, 0.0)
-    support = inst.weights > 0.0
-    gamma = float(F[support].max()) if support.any() else 1.0
-    return Instance(W2), gamma
 
 
 def density_coefficient(inst: Instance) -> float:

@@ -36,7 +36,6 @@ class SplitMap:
     fiber size floor(tau(x)).  Weights within a fiber are zero.
     """
 
-    original: Instance
     split: Instance
     pi: np.ndarray
     multiplicity: np.ndarray
@@ -76,24 +75,8 @@ def _fibers(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def split_instance(inst: Instance) -> SplitMap:
     """Split a normalized instance into floor(tau(x)) copies per vertex."""
     pi, mult, scaled = _fibers(inst)
-    return SplitMap(original=inst, split=Instance(scaled[np.ix_(pi, pi)]),
+    return SplitMap(split=Instance(scaled[np.ix_(pi, pi)]),
                     pi=pi, multiplicity=mult)
-
-
-def lift_cut(smap: SplitMap, cut: Cut) -> Cut:
-    """Lift a cut of the original instance to the split instance (fiber-constant)."""
-    check_cut(smap.original, cut)
-    return Cut(cut.side[smap.pi])
-
-
-def project_cut(smap: SplitMap, split_cut: Cut) -> Cut | None:
-    """Invert ``lift_cut``; None when some fiber is split across sides."""
-    check_cut(smap.split, split_cut)
-    offsets = np.concatenate(([0], np.cumsum(smap.multiplicity)[:-1]))
-    firsts = split_cut.side[offsets]
-    if not np.array_equal(split_cut.side, firsts[smap.pi]):
-        return None
-    return Cut(firsts)
 
 
 def _require_metric(inst: Instance) -> None:
@@ -168,13 +151,11 @@ def ball_enumeration_solve(inst: Instance) -> Cut:
 class CrossBoundCheck:
     """Outcome of the cut-edge lower-bound diagnostic.
 
-    ``worst_pair`` is the separated ordered pair (x, z) with the smallest
-    slack w(x, z) - bound(x), negative slack meaning a violation.
+    ``worst_slack`` is the smallest slack w(x, z) - bound(x) over separated
+    ordered pairs (x, z), negative slack meaning a violation.
     """
 
     ok: bool
-    gamma: float
-    worst_pair: tuple[int, int]
     worst_slack: float
 
 
@@ -188,11 +169,11 @@ def cut_edge_lower_bound_check(inst: Instance, cut: Cut, gamma: float) -> CrossB
     """
     _require_metric(inst)
     check_cut(inst, cut)
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise ParameterError("gamma must be >= 1")
     W = inst.weights
     tol = REL_TOL * float(W.max())
-    worst_pair, worst_slack = None, math.inf
+    worst_slack = math.inf
     for s in (cut.side, ~cut.side):
         L = np.flatnonzero(s)
         R = np.flatnonzero(~s)
@@ -202,9 +183,5 @@ def cut_edge_lower_bound_check(inst: Instance, cut: Cut, gamma: float) -> CrossB
         else:
             bounds = (gamma ** 2 - 1.0) / gamma * w_to_r / (gamma * R.size + L.size)
         slack = W[np.ix_(L, R)] - bounds[:, None]
-        i, j = np.unravel_index(np.argmin(slack), slack.shape)
-        if slack[i, j] < worst_slack:
-            worst_slack = float(slack[i, j])
-            worst_pair = (int(L[i]), int(R[j]))
-    return CrossBoundCheck(ok=worst_slack >= -tol, gamma=gamma,
-                           worst_pair=worst_pair, worst_slack=worst_slack)
+        worst_slack = min(worst_slack, float(slack.min()))
+    return CrossBoundCheck(ok=worst_slack >= -tol, worst_slack=worst_slack)

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, SolverFailure
-from .instance import Cut, Instance, REL_TOL, check_cut, cut_weight
+from .instance import Cut, Instance, check_cut, cut_weight
 from .oracle import distinction_alpha, local_stability_gamma, subset_scan_minima
 
 INF = math.inf
@@ -116,16 +116,15 @@ class SpectralBundle:
 def _cut_part(inst: Instance, cut: Cut) -> np.ndarray:
     """W restricted to the edges the cut separates (zero elsewhere)."""
     check_cut(inst, cut)
-    delta = cut.delta
-    separated = delta[:, None] * delta[None, :] < 0
-    return inst.weights * separated
+    return inst.weights * np.not_equal.outer(cut.side, cut.side)
 
 
 def build_spectral_bundle(inst: Instance, cut: Cut) -> SpectralBundle:
     cut_part = _cut_part(inst, cut)
     W = inst.weights
     shift = cut_part.sum(axis=1) - (W - cut_part).sum(axis=1)
-    shifted = W + np.diag(shift)
+    shifted = W + 0.0  # a copy in which a -0.0 weight reads +0.0
+    np.fill_diagonal(shifted, shift)
     return SpectralBundle(delta=cut.delta, cut_part=cut_part, shift=shift, shifted=shifted,
                           tol=eig_zero_tol(shifted))
 
@@ -169,7 +168,6 @@ class DistinguishedReport:
     cheeger_threshold: float
     meets_alpha: bool
     meets_cheeger: bool
-    cheeger_dominates_alpha: bool
 
 
 def spectral_threshold(x: float) -> float:
@@ -193,8 +191,7 @@ def distinguished_condition(inst: Instance, cut: Cut) -> DistinguishedReport:
     return DistinguishedReport(
         gamma_local=gamma_local, alpha=alpha, cut_cheeger=h_cut,
         alpha_threshold=thr_a, cheeger_threshold=thr_h,
-        meets_alpha=gamma_local > thr_a, meets_cheeger=gamma_local > thr_h,
-        cheeger_dominates_alpha=h_cut >= alpha - REL_TOL * max(1.0, abs(alpha)))
+        meets_alpha=gamma_local > thr_a, meets_cheeger=gamma_local > thr_h)
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +223,6 @@ def glev_cut(inst: Instance, shift) -> Cut | None:
     if side.all() or not side.any():
         return None
     return Cut(side)
-
-
-def glev_stability_condition(inst: Instance, gamma: float, u) -> bool:
-    """True when gamma >= max |u_i u_j| / min |u_i u_j| over vertex pairs.
-
-    Instances live on the complete graph (absent edges have weight zero), so
-    the ratio ranges over all pairs.  When the condition holds for a
-    least-eigenvector u of some PSD diagonal shift of a gamma-stable
-    instance, the cut induced by u is the maximum cut.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (inst.n,):
-        raise ParameterError(f"u must have length {inst.n}")
-    if (u == 0.0).any():
-        raise ParameterError("u has a zero coordinate; the pair ratio is undefined")
-    i, j = np.triu_indices(inst.n, k=1)
-    products = np.abs(u[i] * u[j])
-    ratio = float(products.max() / products.min())
-    return gamma >= ratio * (1.0 - REL_TOL)
-
-
-def glev_scaling_perturbation(inst: Instance, v) -> Instance:
-    """Entrywise perturbation W'_ij = |v_i| |v_j| W_ij."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (inst.n,):
-        raise ParameterError(f"v must have length {inst.n}")
-    if (v == 0.0).any():
-        raise ParameterError("v must have no zero coordinates")
-    a = np.abs(v)
-    return Instance(inst.weights * np.outer(a, a))
 
 
 # ---------------------------------------------------------------------------

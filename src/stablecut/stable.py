@@ -212,7 +212,7 @@ def sqrt_stable_solve(inst: Instance, gamma: float | str = "auto") -> Cut:
 
 def spanning_tree_success_bound(gamma: float, n: int) -> float:
     """Per-repetition success probability bound (gamma/(gamma+1))^(n-1)."""
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise ParameterError("gamma must be >= 1")
     if math.isinf(gamma):
         return 1.0

@@ -61,3 +61,33 @@ def random_cut(rng, n):
     k = rng.integers(1, n)
     side[rng.permutation(n)[:k]] = True
     return Cut(side)
+
+
+def subset_stats(inst, cut, subset):
+    """(xi, iota, tau, mu) of a vertex subset A against a cut.
+
+    Of the weight leaving A, xi crosses the cut and iota does not; tau is
+    all of it and mu the weighted degree of A (internal edges count twice).
+    """
+    in_a = np.zeros(inst.n, dtype=bool)
+    in_a[np.atleast_1d(subset)] = True
+    W = inst.weights
+    leaving = W[np.ix_(in_a, ~in_a)]
+    crossing = cut.side[in_a][:, None] != cut.side[~in_a][None, :]
+    xi = float(leaving[crossing].sum())
+    iota = float(leaving[~crossing].sum())
+    tau = xi + iota  # so tau = xi + iota and mu = tau + internal hold exactly
+    return xi, iota, tau, tau + float(W[np.ix_(in_a, in_a)].sum())
+
+
+def glev_scaling(inst, v):
+    """The entrywise perturbation W'_ij = |v_i| |v_j| W_ij."""
+    a = np.abs(np.asarray(v, dtype=np.float64))
+    return Instance(inst.weights * np.outer(a, a))
+
+
+def coordinate_ratio(u):
+    """max |u_i u_j| / min |u_i u_j| over vertex pairs i < j."""
+    u = np.asarray(u, dtype=np.float64)
+    products = np.abs(np.outer(u, u))[np.triu_indices(u.size, k=1)]
+    return float(products.max() / products.min())

@@ -235,6 +235,15 @@ def test_spanning_tree_above_the_repetition_cap_exits_2(tmp_path, capsys, argv):
     assert json.loads(err)["kind"] == "ParameterError"
 
 
+def test_spanning_tree_with_nan_gamma_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "b8.json")
+    sc.save_instance(sc.gen_stable_bipartite_noise(8, 8.0, seed=1).instance, path)
+    code = main(["solve", path, "--algo", "spanning-tree", "--gamma", "nan"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "gamma must be >= 1", "kind": "ParameterError"}
+
+
 def test_verify_above_the_subset_scan_cap_exits_2(tmp_path, capsys):
     path = str(tmp_path / "k29.json")
     sc.save_instance(sc.Instance(np.ones((29, 29)) - np.eye(29)), path)

@@ -69,6 +69,12 @@ def test_euclidean_metric():
         sc.gen_euclidean_metric(5, 1, 1.0, seed=0)
 
 
+def test_stable_bipartite_noise_rejects_nan_gamma():
+    # NaN fails every comparison, so it must not reach the exhaustive scans
+    with pytest.raises(ParameterError, match="^gamma_target must be >= 1$"):
+        sc.gen_stable_bipartite_noise(20, float("nan"), 1)
+
+
 def test_tightness_example():
     for pairs in range(2, 7):
         assert sc.is_metric(sc.gen_tightness_example(pairs).instance).ok

@@ -5,16 +5,11 @@ import numpy as np
 import pytest
 
 import stablecut as sc
-from stablecut.errors import (
-    InvalidCutError,
-    InvalidInstanceError,
-    InvalidSubsetError,
-    ParameterError,
-)
+from stablecut.errors import InvalidCutError, InvalidInstanceError, ParameterError
 from stablecut.instance import contract
 from stablecut.spectral import build_spectral_bundle
 
-from conftest import random_cut, random_instance
+from conftest import random_cut, random_instance, subset_stats
 
 
 # ---------------------------------------------------------------------------
@@ -62,18 +57,12 @@ def test_cut_validation():
     assert not sc.same_bipartition(cut, sc.Cut([True, True, False]))
 
 
-def _split(inst):
-    return sc.split_instance(sc.normalize_total_weight(inst)[0])
-
-
 # every (instance, cut) entry point that checks the cut's size before its own work
 _CUT_TAKERS = {
     "cut_stability_gamma": sc.cut_stability_gamma,
     "local_stability_gamma": sc.local_stability_gamma,
     "distinction_alpha": sc.distinction_alpha,
     "build_spectral_bundle": build_spectral_bundle,
-    "lift_cut": lambda inst, cut: sc.lift_cut(_split(inst), cut),
-    "project_cut": lambda inst, cut: sc.project_cut(_split(inst), cut),
     "cut_edge_lower_bound_check": lambda inst, cut: sc.cut_edge_lower_bound_check(inst, cut, 1.0),
 }
 
@@ -90,24 +79,12 @@ def test_cut_of_the_wrong_size_raises_invalid_cut(pair_metric, name):
 
 
 def test_subset_stats_k3(k3):
-    st = sc.subset_stats(k3, sc.Cut([True, False, False]), 1)
-    assert (st.xi, st.iota, st.tau, st.mu) == (1.0, 1.0, 2.0, 2.0)
+    assert subset_stats(k3, sc.Cut([True, False, False]), 1) == (1.0, 1.0, 2.0, 2.0)
 
 
 def test_subset_stats_c4(c4, c4_maxcut):
-    st = sc.subset_stats(c4, c4_maxcut, 0)
-    assert (st.xi, st.iota, st.tau, st.mu) == (2.0, 0.0, 2.0, 2.0)
-    st = sc.subset_stats(c4, c4_maxcut, (0, 1))
-    assert (st.xi, st.iota, st.tau, st.mu) == (2.0, 0.0, 2.0, 4.0)
-
-
-def test_subset_stats_rejects_bad_subsets(c4, c4_maxcut):
-    with pytest.raises(InvalidSubsetError):
-        sc.subset_stats(c4, c4_maxcut, ())
-    with pytest.raises(InvalidSubsetError):
-        sc.subset_stats(c4, c4_maxcut, (0, 1, 2, 3))
-    with pytest.raises(InvalidSubsetError):
-        sc.subset_stats(c4, c4_maxcut, (7,))
+    assert subset_stats(c4, c4_maxcut, 0) == (2.0, 0.0, 2.0, 2.0)
+    assert subset_stats(c4, c4_maxcut, (0, 1)) == (2.0, 0.0, 2.0, 4.0)
 
 
 def test_subset_identities_random():
@@ -118,9 +95,9 @@ def test_subset_identities_random():
         cut = random_cut(rng, n)
         size = int(rng.integers(1, n))
         subset = rng.permutation(n)[:size]
-        st = sc.subset_stats(inst, cut, subset)
-        assert st.xi + st.iota == st.tau  # exact by construction
-        assert st.tau <= st.mu + 1e-12
+        xi, iota, tau, mu = subset_stats(inst, cut, subset)
+        assert xi + iota == tau  # exact by construction
+        assert tau <= mu + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +120,13 @@ def test_flipping_a_subset_costs_xi_minus_iota():
         cut = random_cut(rng, n)
         size = int(rng.integers(1, n))
         subset = rng.permutation(n)[:size]
-        stats = sc.subset_stats(inst, cut, subset)
+        xi, iota, _, _ = subset_stats(inst, cut, subset)
         flipped = cut.side.copy()
         flipped[subset] = ~flipped[subset]
         if flipped.all() or not flipped.any():
             continue
         assert sc.cut_weight(inst, sc.Cut(flipped)) == pytest.approx(
-            sc.cut_weight(inst, cut) - stats.xi + stats.iota, rel=1e-12, abs=1e-12)
+            sc.cut_weight(inst, cut) - xi + iota, rel=1e-12, abs=1e-12)
 
 
 def test_cut_weight_complement_invariance():
@@ -237,18 +214,15 @@ def test_merge_preserves_lifted_cut_weights():
             sc.cut_weight(inst, lifted), rel=1e-12)
 
 
-def test_apply_perturbation(c4):
-    same, gamma = sc.apply_perturbation(c4, np.ones((4, 4)))
-    assert np.array_equal(same.weights, c4.weights) and gamma == 1.0
-
+def test_apply_perturbation(c4, c4_maxcut):
+    # a perturbation multiplies the weights entrywise by factors >= 1; none
+    # dethrones the maximum cut of a bipartite instance
     factors = np.ones((4, 4))
     factors[0, 1] = factors[1, 0] = 2.0
-    pert, gamma = sc.apply_perturbation(c4, factors)
-    assert pert.weights[0, 1] == 2.0 and pert.weights[1, 2] == 1.0 and gamma == 2.0
-
-    factors[2, 3] = factors[3, 2] = 0.5
-    with pytest.raises(ParameterError):
-        sc.apply_perturbation(c4, factors)
+    factors[0, 2] = factors[2, 0] = 5.0  # (0, 2) is not an edge of C4
+    pert = sc.Instance(c4.weights * factors)
+    assert pert.weights[0, 1] == 2.0 and pert.weights[1, 2] == 1.0 and pert.weights[0, 2] == 0.0
+    assert sc.same_bipartition(sc.brute_force_maxcut(pert)[0], c4_maxcut)
 
 
 def test_perturbation_bounds_cut_weights():
@@ -258,7 +232,8 @@ def test_perturbation_bounds_cut_weights():
         F = np.triu(rng.uniform(1.0, 3.0, (6, 6)), 1)
         F += F.T
         np.fill_diagonal(F, 1.0)
-        pert, gamma = sc.apply_perturbation(inst, F)
+        pert = sc.Instance(inst.weights * F)
+        gamma = F[inst.weights > 0].max()  # the largest factor on an edge
         cut = random_cut(rng, 6)
         before = sc.cut_weight(inst, cut)
         after = sc.cut_weight(pert, cut)
@@ -278,7 +253,7 @@ def test_density_coefficient(c4):
 def test_density_uniform_scaling_invariance():
     rng = np.random.default_rng(5)
     inst = random_instance(rng, 6)
-    scaled, _ = sc.apply_perturbation(inst, np.full((6, 6), 3.5))
+    scaled = sc.Instance(inst.weights * 3.5)
     assert sc.density_coefficient(scaled) == pytest.approx(
         sc.density_coefficient(inst), rel=1e-12)
 

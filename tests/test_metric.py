@@ -54,7 +54,8 @@ def test_split_density_bound_and_floor():
         assert sc.density_coefficient(smap.split) <= 4.0 / (1 - 1 / n) ** 2 * (1 + 1e-9)
 
 
-def test_lift_project_roundtrip():
+def test_lift_preserves_weight_and_local_gamma():
+    # a cut lifts to the split by putting every copy on its vertex's side
     inst = sc.gen_euclidean_metric(6, 2, 4.0, seed=7).instance
     normalized, _ = sc.normalize_total_weight(inst)
     smap = sc.split_instance(normalized)
@@ -63,16 +64,11 @@ def test_lift_project_roundtrip():
         side = np.zeros(6, dtype=bool)
         side[rng.permutation(6)[: rng.integers(1, 6)]] = True
         cut = sc.Cut(side)
-        lifted = sc.lift_cut(smap, cut)
+        lifted = sc.Cut(cut.side[smap.pi])
         assert sc.cut_weight(smap.split, lifted) == pytest.approx(
             sc.cut_weight(normalized, cut), rel=1e-12)
         assert sc.local_stability_gamma(smap.split, lifted) == pytest.approx(
             sc.local_stability_gamma(normalized, cut), rel=1e-12)
-        assert sc.project_cut(smap, lifted) == cut
-
-    broken = lifted.side.copy()
-    broken[0] = ~broken[0]
-    assert sc.project_cut(smap, sc.Cut(broken)) is None
 
 
 def test_subset_stability_preserved_by_splitting():
@@ -87,7 +83,7 @@ def test_subset_stability_preserved_by_splitting():
     assert smap.split.n <= 20
     cut = sc.Cut([True, False, False])
     g_orig = sc.cut_stability_gamma(normalized, cut)
-    g_split = sc.cut_stability_gamma(smap.split, sc.lift_cut(smap, cut))
+    g_split = sc.cut_stability_gamma(smap.split, sc.Cut(cut.side[smap.pi]))
     assert g_split == pytest.approx(g_orig, rel=1e-9)
 
     mult = np.array([1, 2, 3, 1, 2])
@@ -116,8 +112,8 @@ def test_locally_stable_cuts_biject_under_splitting():
         orig = sc.enumerate_locally_stable_cuts(normalized, level)
         split = sc.enumerate_locally_stable_cuts(smap.split, level)
         assert len(orig) == len(split)
-        lifts = {sc.lift_cut(smap, c) for c in orig}
-        lifts |= {sc.lift_cut(smap, c.complement()) for c in orig}
+        lifts = {sc.Cut(c.side[smap.pi]) for c in orig}
+        lifts |= {sc.Cut(~c.side[smap.pi]) for c in orig}
         assert all(c in lifts for c in split)
 
     inst5 = sc.gen_euclidean_metric(6, 2, 2.0, seed=3).instance
@@ -348,3 +344,8 @@ def test_cut_edge_lower_bound(pair_metric):
     opt, _, _ = sc.brute_force_maxcut(planted.instance)
     gl = sc.local_stability_gamma(planted.instance, opt)
     assert sc.cut_edge_lower_bound_check(planted.instance, opt, gl).ok
+
+
+def test_cut_edge_lower_bound_rejects_nan_gamma(pair_metric):
+    with pytest.raises(ParameterError, match="^gamma must be >= 1$"):
+        sc.cut_edge_lower_bound_check(pair_metric, sc.Cut([True, True, False, False]), float("nan"))

@@ -1,5 +1,6 @@
 """No module of the package uses another module's private (_-prefixed) names,
-and settings that no caller varies stay constants rather than parameters."""
+settings that no caller varies stay constants rather than parameters, and
+every exported name has a caller outside the tests and demos."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import stablecut
 from stablecut import acceptance
 
 PACKAGE = Path(stablecut.__file__).parent
+ROOT = PACKAGE.parent.parent
 
 
 def _private(name: str) -> bool:
@@ -94,3 +96,69 @@ def test_acceptance_criteria_take_only_a_seed():
         params = inspect.signature(criterion).parameters.values()
         assert [(p.name, p.default) for p in params] == [("seed", acceptance.DEFAULT_SEED)], \
             criterion.__name__
+
+
+# exported names that may stay without a caller, each with its reason
+UNCALLED_EXPORTS = {
+    "glev_cut": "the least-eigenvector cut that the one rigorous upper bound of ROADMAP item 4 calls",
+    "instance_stability": "the entry point of the README quick start",
+}
+
+
+def references(source: str) -> list[tuple[str | None, str]]:
+    """(top-level definition or None, name) for every Name and Attribute node."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.append((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.append((owner, node.attr))
+    return found
+
+
+def uncalled(exports: dict[str, str], sources: dict[str, str], roots=()) -> list[str]:
+    """Exported names (name -> defining file) that no code in ``sources`` (file -> text) reaches.
+
+    A reference counts unless it sits in the name's own definition, or in the
+    definition of another exported name that nothing reaches either; the
+    definitions of ``roots`` count as reached.
+    """
+    refs = {(path, owner, name) for path, text in sources.items()
+            for owner, name in references(text) if name in exports}
+    called: set[str] = set()
+    while True:
+        more = {name for path, owner, name in refs if name not in called
+                and (path, owner) != (exports[name], name)
+                and (owner is None or exports.get(owner) != path or owner in called or owner in roots)}
+        if not more:
+            return sorted(set(exports) - called)
+        called |= more
+
+
+def test_checker_follows_callers_from_live_code():
+    exports = {"used": "a.py", "helper": "a.py", "dead": "a.py", "dead_type": "a.py",
+               "recursive": "a.py", "entry": "a.py", "entry_type": "a.py"}
+    sources = {
+        "a.py": ("def used():\n    return helper()\n"
+                 "def helper():\n    pass\n"
+                 "class dead_type:\n    pass\n"
+                 "def dead():\n    # used() in a comment is no call\n    return dead_type()\n"
+                 "def recursive(k):\n    return recursive(k - 1)\n"
+                 "class entry_type:\n    pass\n"
+                 "def entry():\n    return entry_type()\n"),
+        "b.py": "import a\na.used()\n",
+    }
+    assert uncalled(exports, sources) == ["dead", "dead_type", "entry", "entry_type", "recursive"]
+    # a root reaches what it uses, and is itself reported while nothing calls it
+    assert uncalled(exports, sources, roots={"entry"}) == ["dead", "dead_type", "entry", "recursive"]
+
+
+def test_every_export_has_a_caller():
+    exports = {name: str(Path(inspect.getsourcefile(obj)).resolve()) for name in stablecut.__all__
+               if not inspect.ismodule(obj := getattr(stablecut, name))}
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    sources = {str(p.resolve()): p.read_text() for p in files}
+    assert uncalled(exports, sources, roots=UNCALLED_EXPORTS) == sorted(UNCALLED_EXPORTS)

@@ -10,7 +10,7 @@ from stablecut.errors import ParameterError, SizeLimitError
 from stablecut.instance import REL_TOL, ZERO_FRACTION, cut_weights_for_sides
 from stablecut.oracle import cut_sides, per_vertex_cut_weights, subset_scan_minima
 
-from conftest import random_cut, random_instance
+from conftest import random_cut, random_instance, subset_stats
 
 INF = math.inf
 
@@ -164,14 +164,14 @@ def test_stability_matches_perturbation_definition():
         F = np.triu(rng.uniform(1.0, gamma * (1 - 1e-9), (n, n)), 1)
         F += F.T
         np.fill_diagonal(F, 1.0)
-        survived, _ = sc.apply_perturbation(inst, F)
+        survived = sc.Instance(inst.weights * F)
         p_opt, _, p_count = sc.brute_force_maxcut(survived)
         assert p_count == 1 and sc.same_bipartition(p_opt, opt)
 
         separated = opt.delta[:, None] * opt.delta[None, :] < 0
         F2 = np.where(separated, 1.0, gamma * (1 + 1e-6))
         np.fill_diagonal(F2, 1.0)
-        dethroned, _ = sc.apply_perturbation(inst, F2)
+        dethroned = sc.Instance(inst.weights * F2)
         d_opt, _, _ = sc.brute_force_maxcut(dethroned)
         assert not sc.same_bipartition(d_opt, opt)
 
@@ -197,7 +197,7 @@ def test_local_stability_matches_perturbation_definition():
         F[x, same] = factor
         F[same, x] = factor
         np.fill_diagonal(F, 1.0)
-        pert, _ = sc.apply_perturbation(inst, F)
+        pert = sc.Instance(inst.weights * F)
         flipped = opt.side.copy()
         flipped[x] = ~flipped[x]
         assert sc.cut_weight(pert, sc.Cut(flipped)) > sc.cut_weight(pert, opt)
@@ -258,17 +258,17 @@ def _ref_minima(inst, cut):
     gamma = alpha = cheeger = INF
     for k in range(1, inst.n):
         for subset in itertools.combinations(range(inst.n), k):
-            s = sc.subset_stats(inst, cut, subset)
-            smaller = min(s.mu, total_mu - s.mu)
-            gamma = min(gamma, s.xi / s.iota if s.iota > 0 else INF)
-            alpha = min(alpha, (s.xi - s.iota) / smaller)
-            cheeger = min(cheeger, s.tau / smaller)
+            xi, iota, tau, mu = subset_stats(inst, cut, subset)
+            smaller = min(mu, total_mu - mu)
+            gamma = min(gamma, xi / iota if iota > 0 else INF)
+            alpha = min(alpha, (xi - iota) / smaller)
+            cheeger = min(cheeger, tau / smaller)
     return gamma, alpha, cheeger
 
 
 def _ref_local_gamma(inst, cut):
-    stats = [sc.subset_stats(inst, cut, v) for v in range(inst.n)]
-    return min(s.xi / s.iota if s.iota > 0 else INF for s in stats)
+    stats = [subset_stats(inst, cut, v) for v in range(inst.n)]
+    return min(xi / iota if iota > 0 else INF for xi, iota, _, _ in stats)
 
 
 def test_oracle_matches_subset_reference():
