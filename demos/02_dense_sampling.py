@@ -35,10 +35,10 @@ for m in (8, 16, 32):
 
 wins = 0
 for s in range(30):
-    cut = sc.dense_solve(inst, DenseSolverConfig(m=10, mode="enumerate", seed=s))
+    cut = sc.dense_solve(inst, DenseSolverConfig(m=10, seed=s))
     wins += sc.same_bipartition(cut, opt)
 print(f"\nenumerate mode, m=10: recovered the optimum in {wins}/30 runs")
 
 cut = sc.dense_solve(inst, DenseSolverConfig(
-    m=10, mode="seeded", seed=0, seed_cut=planted.planted_cut))
+    m=10, seed=0, seed_cut=planted.planted_cut))
 print("seeded mode weight:", sc.cut_weight(inst, cut), "| optimum:", opt_w)

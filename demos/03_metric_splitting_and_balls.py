@@ -38,7 +38,7 @@ print("ball solver weight:", round(sc.cut_weight(inst, ball_cut), 3))
 
 # The reduction-based solver, seeded with the planted split.
 cut = sc.metric_dense_solve(inst, DenseSolverConfig(
-    m=10, mode="seeded", seed=0, seed_cut=planted.planted_cut))
+    m=10, seed=0, seed_cut=planted.planted_cut))
 print("split+sample solver weight:", round(sc.cut_weight(inst, cut), 3))
 
 # Tightness: a metric whose optimum has NO ball side.  Its local stability

@@ -208,11 +208,11 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     bound10 = failure_bound(C, gl, 10, inst.n)
     wins_enum = wins_seeded = 0
     for s in range(solver_seeds):
-        cut = dense_solve(inst, DenseSolverConfig(m=10, mode="enumerate", seed=seed + s))
+        cut = dense_solve(inst, DenseSolverConfig(m=10, seed=seed + s))
         wins_enum += same_bipartition(cut, opt)
         try:
             cut = dense_solve(inst, DenseSolverConfig(
-                m=10, mode="seeded", seed=seed + s, seed_cut=planted.planted_cut))
+                m=10, seed=seed + s, seed_cut=planted.planted_cut))
             wins_seeded += same_bipartition(cut, opt)
         except SolverFailure:
             pass

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .dense import DenseSolverConfig, dense_solve
-from .errors import SolverFailure, StableCutError
+from .errors import ParameterError, SolverFailure, StableCutError
 from .generators import (
     gen_euclidean_metric,
     gen_infinite_stable_not_distinguished,
@@ -133,12 +133,17 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dense_config(args, inst) -> DenseSolverConfig:
-    mode, k = args.mode, None
-    if mode.startswith("random:"):
-        mode, k = "random", int(mode.split(":", 1)[1])
-    seed_cut = load_cut(args.seed_cut) if args.seed_cut else None
-    return DenseSolverConfig(eps=args.eps, C=args.C, m=args.m, mode=mode, k=k,
+def _dense_config(args) -> DenseSolverConfig:
+    k = None
+    if args.mode.startswith("random:"):
+        k = int(args.mode.split(":", 1)[1])
+    elif args.mode not in ("enumerate", "seeded"):
+        raise ParameterError(f"unknown mode {args.mode!r}: use enumerate, seeded or random:K")
+    seeded = args.mode == "seeded"
+    if seeded != (args.seed_cut is not None):
+        raise ParameterError("--mode seeded and --seed-cut go together")
+    seed_cut = load_cut(args.seed_cut) if seeded else None
+    return DenseSolverConfig(eps=args.eps, C=args.C, m=args.m, k=k,
                              seed=args.seed, seed_cut=seed_cut)
 
 
@@ -151,9 +156,9 @@ def _cmd_solve(args) -> int:
         oracle = brute_force_maxcut(inst)
         cut, _, verdicts["optimal_count"] = oracle
     elif args.algo == "dense":
-        cut = dense_solve(inst, _dense_config(args, inst))
+        cut = dense_solve(inst, _dense_config(args))
     elif args.algo == "metric-dense":
-        cut = metric_dense_solve(inst, _dense_config(args, inst))
+        cut = metric_dense_solve(inst, _dense_config(args))
     elif args.algo == "ball":
         cut = ball_enumeration_solve(inst)
     elif args.algo == "sqrt-stable":
@@ -305,7 +310,7 @@ def _bench_stability_sweep(seed: int) -> dict:
             try:
                 per_solver["dense-seeded"] += same_bipartition(
                     dense_solve(inst, DenseSolverConfig(
-                        m=16, mode="seeded", seed=seed + i,
+                        m=16, seed=seed + i,
                         seed_cut=planted.planted_cut)), opt)
             except SolverFailure:
                 pass
@@ -386,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--C", type=float)
     p.add_argument("--mode", default="enumerate",
-                   help="dense modes: enumerate | seeded | random:K")
-    p.add_argument("--seed-cut", help="cut file supplying true sides for seeded mode")
+                   help="dense modes: enumerate | seeded (needs --seed-cut) | random:K")
+    p.add_argument("--seed-cut", help="cut file supplying true sides; only with --mode seeded")
     p.add_argument("--gamma")
     p.add_argument("--auto", action="store_true")
     p.add_argument("--reps", type=int, default=None,

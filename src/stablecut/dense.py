@@ -29,13 +29,16 @@ ENUMERATION_CAP = 22  # largest m of enumerate mode: 2^22 partitions
 
 def sample_size(C: float, eps: float, n: int) -> int:
     """Sample size sufficient for the failure union bound: ceil(2*(C*(2+eps)/eps)^2 * ln(2n))."""
-    if C < 1.0:
+    if not C >= 1.0:
         raise ParameterError("C must be >= 1")
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ParameterError("eps must be finite and positive")
     if n < 2:
         raise ParameterError("n must be >= 2")
-    return math.ceil(2.0 * (C * (2.0 + eps) / eps) ** 2 * math.log(2 * n))
+    try:
+        return math.ceil(2.0 * (C * (2.0 + eps) / eps) ** 2 * math.log(2 * n))
+    except OverflowError:
+        raise ParameterError(f"sample size overflows at C={C}, eps={eps}, n={n}") from None
 
 
 def failure_bound(C: float, gamma: float, m: int, n: int) -> float:
@@ -51,40 +54,42 @@ def failure_bound(C: float, gamma: float, m: int, n: int) -> float:
     return min(1.0, n * math.exp(-0.5 * (ratio / C) ** 2 * m))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseSolverConfig:
-    """Configuration for ``dense_solve``.
+    """Configuration for ``dense_solve`` and ``metric_dense_solve``.
 
-    m defaults to ``sample_size(C, eps, n)`` when not given.  Modes:
-    "enumerate" tries all 2^m sample bipartitions (m <= ENUMERATION_CAP),
-    "seeded" uses the sample's true sides from ``seed_cut`` (test harnesses),
-    "random" tries k uniformly drawn bipartitions.
+    m defaults to ``sample_size(C, eps, n)``.  The fields that are set pick the
+    sample bipartitions: with ``seed_cut``, the sample's true sides under that
+    cut (test harnesses); with ``k``, k uniformly drawn ones; with neither, all
+    2^m (m <= ENUMERATION_CAP).  Construction checks every field; the solve
+    checks only the enumeration cap on the resolved m and the size of seed_cut.
     """
 
     eps: float | None = None
     C: float | None = None
     m: int | None = None
-    mode: str = "enumerate"
     k: int | None = None
     seed: int = 0
     seed_cut: Cut | None = None
 
     def __post_init__(self):
-        if self.mode not in ("enumerate", "seeded", "random"):
-            raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.m is not None and self.m < 1:
+        if self.C is not None and not 1.0 <= self.C < math.inf:
+            raise ParameterError("C must be finite and >= 1")
+        if self.eps is not None and not 0.0 < self.eps < math.inf:
+            raise ParameterError("eps must be finite and positive")
+        if self.m is None:
+            if self.C is None or self.eps is None:
+                raise ParameterError("either m or both C and eps must be set")
+            sample_size(self.C, self.eps, 2)  # raises when the size overflows even at n = 2
+        elif not self.m >= 1:
             raise ParameterError("m must be >= 1")
-        if self.eps is not None and self.eps <= 0.0:
-            raise ParameterError("eps must be positive")
-        if self.C is not None and self.C < 1.0:
-            raise ParameterError("C must be >= 1")
+        if self.k is not None and not self.k >= 1:
+            raise ParameterError("k must be >= 1")
+        if self.k is not None and self.seed_cut is not None:
+            raise ParameterError("give k or seed_cut, not both")
 
     def resolve_m(self, n: int) -> int:
-        if self.m is not None:
-            return self.m
-        if self.C is None or self.eps is None:
-            raise ParameterError("either m or both C and eps must be set")
-        return sample_size(self.C, self.eps, n)
+        return self.m if self.m is not None else sample_size(self.C, self.eps, n)
 
 
 def draw_samples(n: int, m: int, seed: int) -> np.ndarray:
@@ -99,25 +104,21 @@ def _partition_chunks(cfg: DenseSolverConfig, samples: np.ndarray,
     Enumeration is chunked so that 2^ENUMERATION_CAP partitions stay within memory.
     """
     m = samples.size
-    if cfg.mode == "enumerate":
+    if sample_sides is not None:
+        # R gets the samples on the planted False side, so the recovered S
+        # lines up with the planted True side.
+        yield ~sample_sides[None, :]
+    elif cfg.k is not None:
+        rng = np.random.default_rng(cfg.seed + 1)
+        for lo in range(0, cfg.k, _SCORE_CHUNK):
+            yield rng.integers(0, 2, size=(min(_SCORE_CHUNK, cfg.k - lo), m)).astype(bool)
+    else:
         if m > ENUMERATION_CAP:
             raise ParameterError(f"enumerate mode caps m at {ENUMERATION_CAP}, got {m}")
         shifts = np.arange(m, dtype=np.uint64)
         for lo in range(0, 1 << m, _SCORE_CHUNK):
             ks = np.arange(lo, min(lo + _SCORE_CHUNK, 1 << m), dtype=np.uint64)
             yield ((ks[:, None] >> shifts[None, :]) & 1).astype(bool)
-    elif cfg.mode == "seeded":
-        if sample_sides is None:
-            raise ParameterError("seeded mode needs seed_cut")
-        # R gets the samples on the planted False side, so the recovered S
-        # lines up with the planted True side.
-        yield ~sample_sides[None, :]
-    else:
-        if cfg.k is None or cfg.k < 1:
-            raise ParameterError("random mode needs k >= 1")
-        rng = np.random.default_rng(cfg.seed + 1)
-        for lo in range(0, cfg.k, _SCORE_CHUNK):
-            yield rng.integers(0, 2, size=(min(_SCORE_CHUNK, cfg.k - lo), m)).astype(bool)
 
 
 def induced_side_matrix(W: np.ndarray, samples: np.ndarray,

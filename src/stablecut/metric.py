@@ -46,10 +46,7 @@ def normalize_total_weight(inst: Instance) -> tuple[Instance, float]:
 
     Scaling preserves the argmax cut and every stability ratio.
     """
-    total = float(inst.weights.sum())
-    if total <= 0.0:
-        raise DegenerateInstanceError("total weight must be positive")
-    scale = 2.0 * inst.n ** 2 / total
+    scale = 2.0 * inst.n ** 2 / float(inst.weights.sum())
     return Instance(inst.weights * scale), scale
 
 

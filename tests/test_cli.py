@@ -244,6 +244,28 @@ def test_spanning_tree_with_nan_gamma_exits_2(tmp_path, capsys):
     assert json.loads(err) == {"error": "gamma must be >= 1", "kind": "ParameterError"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("--C", "inf", "--eps", "0.1"),
+    ("--C", "1e200", "--eps", "1"),  # the sample size overflows float
+    ("--C", "nan", "--eps", "0.1"),
+    ("--C", "2", "--eps", "nan"),
+    ("--m", "4", "--mode", "nonsense"),
+    ("--m", "4", "--mode", "seeded"),  # no --seed-cut
+    ("--m", "4", "--mode", "random:8", "--seed-cut", "CUT"),
+    ("--m", "4", "--seed-cut", "CUT"),  # the default mode is enumerate
+])
+def test_bad_dense_settings_exit_2(tmp_path, capsys, argv):
+    planted = sc.gen_stable_bipartite_noise(12, 8.0, seed=9)
+    path, cut_path = str(tmp_path / "b12.json"), str(tmp_path / "b12.cut.json")
+    sc.save_instance(planted.instance, path)
+    sc.save_cut(planted.planted_cut, cut_path)
+    argv = [cut_path if a == "CUT" else a for a in argv]
+    code = main(["solve", path, "--algo", "dense", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "ParameterError"  # one JSON line
+
+
 def test_verify_above_the_subset_scan_cap_exits_2(tmp_path, capsys):
     path = str(tmp_path / "k29.json")
     sc.save_instance(sc.Instance(np.ones((29, 29)) - np.eye(29)), path)

@@ -20,8 +20,10 @@ def test_sample_size_examples():
     assert sc.sample_size(1.0, 2.0, 2) == 12
     with pytest.raises(ParameterError):
         sc.sample_size(2.0, 0.0, 100)
-    with pytest.raises(ParameterError):
-        sc.sample_size(0.5, 1.0, 100)
+    for C, eps in ((0.5, 1.0), (math.nan, 1.0), (2.0, math.nan), (2.0, math.inf),
+                   (math.inf, 0.1), (1e200, 1.0)):
+        with pytest.raises(ParameterError):
+            sc.sample_size(C, eps, 100)
 
 
 def test_failure_bound_examples():
@@ -39,14 +41,14 @@ def test_failure_bound_examples():
 
 
 def test_dense_solve_c4_enumerate(c4):
-    cut = sc.dense_solve(c4, DenseSolverConfig(m=4, mode="enumerate", seed=0))
+    cut = sc.dense_solve(c4, DenseSolverConfig(m=4, seed=0))
     assert sc.cut_weight(c4, cut) == 4.0
 
 
 def test_dense_solve_k44_seeded():
     planted = sc.gen_planted_partition(8, 1.0, 0.0, seed=2)
     cut = sc.dense_solve(planted.instance, DenseSolverConfig(
-        m=6, mode="seeded", seed=1, seed_cut=planted.planted_cut))
+        m=6, seed=1, seed_cut=planted.planted_cut))
     assert sc.cut_weight(planted.instance, cut) == 16.0
     assert sc.same_bipartition(cut, planted.planted_cut)
 
@@ -60,11 +62,11 @@ def test_dense_solve_recovery_rate():
     bound = sc.failure_bound(C, gl, 10, 14)
     wins_enum = wins_seeded = 0
     for s in range(50):
-        cut = sc.dense_solve(inst, DenseSolverConfig(m=10, mode="enumerate", seed=s))
+        cut = sc.dense_solve(inst, DenseSolverConfig(m=10, seed=s))
         wins_enum += sc.same_bipartition(cut, opt)
         try:
             cut = sc.dense_solve(inst, DenseSolverConfig(
-                m=10, mode="seeded", seed=s, seed_cut=planted.planted_cut))
+                m=10, seed=s, seed_cut=planted.planted_cut))
             wins_seeded += sc.same_bipartition(cut, opt)
         except SolverFailure:
             pass
@@ -76,26 +78,30 @@ def test_dense_solve_recovery_rate():
 
 
 def test_config_validation(c4):
-    with pytest.raises(ParameterError):
-        DenseSolverConfig(m=0)
-    with pytest.raises(ParameterError):
-        DenseSolverConfig(mode="nonsense")
-    with pytest.raises(ParameterError):
-        sc.dense_solve(c4, DenseSolverConfig(mode="enumerate"))  # no m, no (C, eps)
-    with pytest.raises(ParameterError):
-        sc.dense_solve(c4, DenseSolverConfig(m=23, mode="enumerate"))  # above cap
-    with pytest.raises(ParameterError):
-        sc.dense_solve(c4, DenseSolverConfig(m=4, mode="seeded"))  # no seed_cut
-    with pytest.raises(ParameterError):
-        sc.dense_solve(c4, DenseSolverConfig(m=4, mode="random"))  # no k
+    cut4 = sc.Cut([True, False, True, False])
+    for fields in (dict(m=0),
+                   dict(),  # no m, no (C, eps)
+                   dict(C=2.0),
+                   dict(m=4, k=0),
+                   dict(m=4, k=8, seed_cut=cut4),
+                   dict(C=math.inf, eps=0.1),
+                   dict(C=math.nan, eps=0.1),
+                   dict(C=2.0, eps=math.nan),
+                   dict(m=4, C=math.nan),
+                   dict(C=1e200, eps=1.0)):  # the sample size overflows float
+        with pytest.raises(ParameterError):
+            DenseSolverConfig(**fields)
+    # only what needs the instance waits for the solve
+    with pytest.raises(ParameterError, match="caps m at 22, got 23"):
+        sc.dense_solve(c4, DenseSolverConfig(m=23))
     three = sc.Cut([True, False, False])
     with pytest.raises(ParameterError, match="seed_cut size mismatch"):
-        sc.dense_solve(c4, DenseSolverConfig(m=4, mode="seeded", seed_cut=three))
+        sc.dense_solve(c4, DenseSolverConfig(m=4, seed_cut=three))
     two = sc.Instance([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ParameterError, match="seed_cut size mismatch"):
-        sc.metric_dense_solve(two, DenseSolverConfig(m=4, mode="seeded", seed_cut=three))
+        sc.metric_dense_solve(two, DenseSolverConfig(m=4, seed_cut=three))
     # m resolved from (C, eps) when omitted
-    cut = sc.dense_solve(c4, DenseSolverConfig(C=2.0, eps=4.0, mode="random", k=8, seed=3))
+    cut = sc.dense_solve(c4, DenseSolverConfig(C=2.0, eps=4.0, k=8, seed=3))
     assert sc.cut_weight(c4, cut) > 0
 
 
@@ -108,7 +114,7 @@ def test_degenerate_assignments_raise():
     side[samples[0]] = True  # force the lone sample onto the True side
     with pytest.raises(SolverFailure):
         sc.dense_solve(planted.instance, DenseSolverConfig(
-            m=1, mode="seeded", seed=0, seed_cut=sc.Cut(side)))
+            m=1, seed=0, seed_cut=sc.Cut(side)))
 
 
 def test_enumeration_invariant_under_sample_order():
@@ -134,7 +140,7 @@ def test_returned_cut_is_argmax(c4):
         s = sides[:, k]
         if s.any() and not s.all():
             best = max(best, sc.cut_weight(c4, sc.Cut(s)))
-    cut = sc.dense_solve(c4, DenseSolverConfig(m=5, mode="enumerate", seed=6))
+    cut = sc.dense_solve(c4, DenseSolverConfig(m=5, seed=6))
     assert sc.cut_weight(c4, cut) == best
 
 

@@ -136,16 +136,16 @@ def test_metric_dense_solve():
     planted = sc.gen_euclidean_metric(6, 2, 10.0, seed=1)
     opt, w, _ = sc.brute_force_maxcut(planted.instance)
     cut = sc.metric_dense_solve(planted.instance, DenseSolverConfig(
-        m=8, mode="seeded", seed=0, seed_cut=planted.planted_cut))
+        m=8, seed=0, seed_cut=planted.planted_cut))
     assert sc.same_bipartition(cut, opt)
 
     two = sc.Instance([[0.0, 1.0], [1.0, 0.0]])
-    cut = sc.metric_dense_solve(two, DenseSolverConfig(m=3, mode="enumerate", seed=0))
+    cut = sc.metric_dense_solve(two, DenseSolverConfig(m=3, seed=0))
     assert sc.cut_weight(two, cut) == 1.0
 
     c4 = sc.Instance([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
     with pytest.raises(PreconditionError):
-        sc.metric_dense_solve(c4, DenseSolverConfig(m=4, mode="enumerate", seed=0))
+        sc.metric_dense_solve(c4, DenseSolverConfig(m=4, seed=0))
 
 
 def test_metric_dense_solve_tightness_majority_or_vacuous_bound():
@@ -158,7 +158,7 @@ def test_metric_dense_solve_tightness_majority_or_vacuous_bound():
     gl = sc.local_stability_gamma(inst, opt)
     bound = sc.failure_bound(C, gl, 8, smap.split.n)
     hits = sum(sc.same_bipartition(
-        sc.metric_dense_solve(inst, DenseSolverConfig(m=8, mode="enumerate", seed=s)), opt)
+        sc.metric_dense_solve(inst, DenseSolverConfig(m=8, seed=s)), opt)
         for s in range(20))
     assert hits > 10 or bound >= 0.5
 
@@ -220,19 +220,19 @@ def _differential_pool():
 def test_metric_dense_matches_split_vote_solver():
     for inst, cut in _differential_pool():
         for seed in range(2):
-            for cfg in (DenseSolverConfig(m=8, mode="enumerate", seed=seed),
-                        DenseSolverConfig(m=12, mode="random", k=40, seed=seed),
-                        DenseSolverConfig(C=4.0, eps=40.0, mode="random", k=20, seed=seed),
-                        DenseSolverConfig(m=6, mode="seeded", seed=seed, seed_cut=cut),
-                        DenseSolverConfig(m=1, mode="seeded", seed=seed, seed_cut=cut)):
+            for cfg in (DenseSolverConfig(m=8, seed=seed),
+                        DenseSolverConfig(m=12, k=40, seed=seed),
+                        DenseSolverConfig(C=4.0, eps=40.0, k=20, seed=seed),
+                        DenseSolverConfig(m=6, seed=seed, seed_cut=cut),
+                        DenseSolverConfig(m=1, seed=seed, seed_cut=cut)):
                 expected = _outcome(_split_vote_solve, inst, cfg)
                 assert _outcome(sc.metric_dense_solve, inst, cfg) == expected, (inst, cfg)
-    wrong_size = DenseSolverConfig(m=4, mode="seeded", seed_cut=sc.Cut([True, False, False]))
+    wrong_size = DenseSolverConfig(m=4, seed_cut=sc.Cut([True, False, False]))
     c4 = sc.Instance([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
     two = sc.Instance([[0.0, 1.0], [1.0, 0.0]])
-    for inst, cfg in ((two, wrong_size), (two, DenseSolverConfig(m=23, mode="enumerate")),
-                      (two, DenseSolverConfig(m=4, mode="random")),
-                      (c4, DenseSolverConfig(m=4, mode="enumerate"))):
+    for inst, cfg in ((two, wrong_size), (two, DenseSolverConfig(m=23)),
+                      (two, DenseSolverConfig(m=4)),
+                      (c4, DenseSolverConfig(m=4))):
         assert _outcome(sc.metric_dense_solve, inst, cfg) == _outcome(_split_vote_solve, inst, cfg)
 
 
@@ -241,7 +241,7 @@ def test_metric_dense_reaches_n80_in_small_memory():
     planted = sc.gen_euclidean_metric(80, 2, 10.0, seed=0)
     tracemalloc.start()
     try:
-        cut = sc.metric_dense_solve(planted.instance, DenseSolverConfig(m=10, mode="enumerate", seed=0))
+        cut = sc.metric_dense_solve(planted.instance, DenseSolverConfig(m=10, seed=0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
