@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -101,8 +102,10 @@ def test_config_validation(c4):
     with pytest.raises(ParameterError, match="seed_cut size mismatch"):
         sc.metric_dense_solve(two, DenseSolverConfig(m=4, seed_cut=three))
     # m resolved from (C, eps) when omitted
-    cut = sc.dense_solve(c4, DenseSolverConfig(C=2.0, eps=4.0, k=8, seed=3))
-    assert sc.cut_weight(c4, cut) > 0
+    cfg = DenseSolverConfig(C=2.0, eps=4.0, k=8, seed=3)
+    assert sc.cut_weight(c4, sc.dense_solve(c4, cfg)) > 0
+    with pytest.raises(dataclasses.FrozenInstanceError):  # checked once, so never reassigned
+        cfg.k = 0
 
 
 def test_degenerate_assignments_raise():
