@@ -36,11 +36,14 @@ print("\nK3 spectrum:", np.round(k3_bundle.eigenvalues, 6),
 
 # Relaxation: block-coordinate descent on unit vectors, dual extraction,
 # hyperplane rounding.  On the 4-cycle the optimum is the rank-one +/-1
-# Gram matrix with value -8 and dual -2I.
+# Gram matrix with value -8 and dual -2I.  The extraction's `gap` is zero by
+# the trace identity whatever the Gram matrix, so it certifies nothing; the
+# dual shifted into feasibility certifies n * max(0, -psd_residual).
 sol = sc.gw_primal_solve(c4, seed=0)
 ext = sc.gw_dual_extract(c4, sol.gram)
 print("\nC4 relaxation: primal", round(sol.primal_value, 9),
-      "dual", np.round(ext.diag_values, 9), "gap", ext.gap)
+      "dual", np.round(ext.diag_values, 9), "gap (trace identity)", ext.gap,
+      "certified gap", c4.n * max(0.0, -ext.psd_residual))
 print("rounded cut weight:", sc.gw_round(c4, sol.vectors, seed=0, trials=8).weight)
 
 sol3 = sc.gw_primal_solve(k3, seed=0)

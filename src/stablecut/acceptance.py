@@ -8,6 +8,7 @@ Criteria are numbered 1 through 10; see README for the one-line summaries.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from .oracle import (
 from .spectral import (
     bipolarity_check,
     build_spectral_bundle,
+    glev_cut,
     gw_dual_extract,
     gw_primal_solve,
     psd_rank_certificate,
@@ -277,11 +279,18 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _ball_pool(seed: int, count: int):
-    """Metric instances with unique optimum and local stability above 3."""
+BALL_POOL_SIZE = 100
+
+
+@functools.lru_cache(maxsize=1)
+def _ball_pool(seed: int) -> tuple:
+    """Metric instances with unique optimum and local stability above 3.
+
+    Criteria 4 and 5 read the same pool, so it is built once per seed.
+    """
     pool = []
     i = 0
-    while len(pool) < count and i < 10 * count:
+    while len(pool) < BALL_POOL_SIZE and i < 10 * BALL_POOL_SIZE:
         n = (4, 6, 8, 10, 12)[i % 5]
         planted = gen_euclidean_metric(n, 1 + i % 3, (6.0, 10.0, 20.0)[i % 3], seed * 17 + i)
         i += 1
@@ -289,31 +298,30 @@ def _ball_pool(seed: int, count: int):
         gl = local_stability_gamma(planted.instance, cut)
         if cnt == 1 and gl > 3.0 + 1e-9:
             pool.append((planted.instance, cut, w, gl))
-    return pool
+    return tuple(pool)
+
+
+def _is_ball(inst: Instance, cut: Cut) -> bool:
+    """One side of the cut is one of the instance's balls."""
+    return any(np.array_equal(b, cut.side) or np.array_equal(b, ~cut.side)
+               for b in enumerate_balls(inst))
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     """One side of the optimum is a ball above local stability 3; tight below."""
-    count = 100
-    pool = _ball_pool(seed, count)
-    ok = len(pool) == count
+    pool = _ball_pool(seed)
+    ok = len(pool) == BALL_POOL_SIZE
     for inst, cut, w, _ in pool:
-        balls = enumerate_balls(inst)
-        is_ball = any(np.array_equal(b, cut.side) or np.array_equal(b, ~cut.side)
-                      for b in balls)
         solved = ball_enumeration_solve(inst)
-        ok = ok and is_ball and _close(cut_weight(inst, solved), w)
+        ok = ok and _is_ball(inst, cut) and _close(cut_weight(inst, solved), w)
 
     tight = gen_tightness_example(2)
     t_cut, t_w, t_cnt = brute_force_maxcut(tight.instance)
     t_gl = local_stability_gamma(tight.instance, t_cut)
     t_gamma = cut_stability_gamma(tight.instance, t_cut)
-    balls = enumerate_balls(tight.instance)
-    t_is_ball = any(np.array_equal(b, t_cut.side) or np.array_equal(b, ~t_cut.side)
-                    for b in balls)
     t_ball_w = cut_weight(tight.instance, ball_enumeration_solve(tight.instance))
-    tight_ok = (t_cnt == 1 and 2.0 + 1e-9 < t_gl < 3.0 - 1e-9 and not t_is_ball
-                and t_ball_w < t_w * (1.0 - REL_TOL))
+    tight_ok = (t_cnt == 1 and 2.0 + 1e-9 < t_gl < 3.0 - 1e-9
+                and not _is_ball(tight.instance, t_cut) and t_ball_w < t_w * (1.0 - REL_TOL))
     ok = ok and tight_ok
     return CriterionResult(4, "ball guarantee at desk scale", ok,
                            {"qualified": len(pool), "tightness_gamma_local": round(t_gl, 6),
@@ -323,9 +331,8 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Cut-edge lower bound holds at the measured local stability."""
-    count = 100
-    pool = _ball_pool(seed, count)
-    ok = len(pool) == count
+    pool = _ball_pool(seed)
+    ok = len(pool) == BALL_POOL_SIZE
     worst = INF
     for inst, cut, _, gl in pool:
         check = cut_edge_lower_bound_check(inst, cut, gl)
@@ -343,37 +350,30 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """sqrt-threshold solver and warm-up solver match the oracle on verified instances."""
     count = 100
-    sqrt_hits = warm_hits = 0
-    sqrt_total = warm_total = 0
-    i = 0
-    while sqrt_total < count and i < 10 * count:
-        n = (8, 10, 12)[i % 3]
-        threshold = sqrt_stability_threshold(n)
-        planted = gen_stable_bipartite_noise(n, 1.3 * threshold, seed * 13 + i)
-        i += 1
-        gamma = cut_stability_gamma(planted.instance, planted.planted_cut)
-        if not gamma > threshold:
-            continue
-        sqrt_total += 1
-        opt, _, cnt = brute_force_maxcut(planted.instance)
-        cut = sqrt_stable_solve(planted.instance, "auto")
-        sqrt_hits += cnt == 1 and same_bipartition(cut, opt)
-    i = 0
-    while warm_total < count and i < 10 * count:
-        n = (8, 10, 12)[i % 3]
-        planted = gen_stable_bipartite_noise(n, 2.4 * n, seed * 29 + i)
-        i += 1
-        gamma = cut_stability_gamma(planted.instance, planted.planted_cut)
-        if not gamma >= 2 * n:
-            continue
-        warm_total += 1
-        opt, _, cnt = brute_force_maxcut(planted.instance)
-        cut = warmup_2n_solve(planted.instance)
-        warm_hits += cnt == 1 and same_bipartition(cut, opt)
-    ok = sqrt_hits == sqrt_total == count and warm_hits == warm_total == count
-    return CriterionResult(6, "merging solvers exact on stable instances", ok,
-                           {"sqrt": f"{sqrt_hits}/{sqrt_total}",
-                            "warmup": f"{warm_hits}/{warm_total}"})
+    # name, seed stride, generator gamma, qualifying stability, solver
+    solvers = (
+        ("sqrt", 13, lambda n: 1.3 * sqrt_stability_threshold(n),
+         lambda gamma, n: gamma > sqrt_stability_threshold(n),
+         lambda inst: sqrt_stable_solve(inst, "auto")),
+        ("warmup", 29, lambda n: 2.4 * n, lambda gamma, n: gamma >= 2 * n, warmup_2n_solve),
+    )
+    ok = True
+    details = {}
+    for name, stride, target, qualifies, solve in solvers:
+        hits = total = 0
+        i = 0
+        while total < count and i < 10 * count:
+            n = (8, 10, 12)[i % 3]
+            planted = gen_stable_bipartite_noise(n, target(n), seed * stride + i)
+            i += 1
+            if not qualifies(cut_stability_gamma(planted.instance, planted.planted_cut), n):
+                continue
+            total += 1
+            opt, _, cnt = brute_force_maxcut(planted.instance)
+            hits += cnt == 1 and same_bipartition(solve(planted.instance), opt)
+        ok = ok and hits == total == count
+        details[name] = f"{hits}/{total}"
+    return CriterionResult(6, "merging solvers exact on stable instances", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +429,15 @@ def _certificate_pool(seed: int):
     return pool
 
 
+def _c4() -> tuple[Instance, Cut]:
+    """The 4-cycle and its maximum cut, the worked example of criteria 8 and 9."""
+    return (Instance([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]),
+            Cut([True, False, True, False]))
+
+
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Certificate fires whenever local stability clears the cut-expansion threshold."""
+    """Certificate fires whenever local stability clears the cut-expansion threshold,
+    and the certified cut is the least-eigenvector cut of W + D'."""
     qualified = 0
     ok = True
     for inst in _certificate_pool(seed):
@@ -441,13 +448,11 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         threshold = spectral_threshold(h_cut)
         if gl > threshold * (1.0 + 1e-6):
             qualified += 1
-            verdict = psd_rank_certificate(bundle)
-            aligned = bundle.kernel_vector * bundle.delta if bundle.kernel_vector is not None else None
-            sign_match = aligned is not None and ((aligned > 0).all() or (aligned < 0).all())
-            ok = ok and verdict == "certified" and sign_match
+            ok = (ok and psd_rank_certificate(bundle) == "certified"
+                  and same_bipartition(glev_cut(inst, bundle.shift), cut))
 
-    c4 = Instance([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
-    bundle = build_spectral_bundle(c4, Cut([True, False, True, False]))
+    c4, c4_cut = _c4()
+    bundle = build_spectral_bundle(c4, c4_cut)
     spectrum_ok = bool(np.abs(bundle.eigenvalues - np.array([0.0, 2.0, 2.0, 4.0])).max() <= 1e-8)
     _, _, h = subset_scan_minima(bundle.cut_part, None)
     thr = spectral_threshold(h)
@@ -541,8 +546,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     details["bipolarity_checked"] = agreement_checked
     details["tolerance_escalations"] = len(escalations)
 
-    c4 = Instance([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
-    c4_cut = Cut([True, False, True, False])
+    c4, c4_cut = _c4()
     sol = gw_primal_solve(c4, seed=seed)
     ext = gw_dual_extract(c4, sol.gram)
     ok = ok and abs(sol.primal_value + 8.0) <= 1e-6 and bool(

@@ -87,10 +87,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(_jsonable(doc), indent=2))
 
 
-def _gamma_arg(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -101,7 +97,7 @@ def _cmd_gen(args) -> int:
     if fam == "planted-partition":
         planted = gen_planted_partition(args.n, args.p, args.q, args.seed)
     elif fam == "bipartite-noise":
-        planted = gen_stable_bipartite_noise(args.n, _gamma_arg(args.gamma), args.seed)
+        planted = gen_stable_bipartite_noise(args.n, float(args.gamma), args.seed)
     elif fam == "euclidean":
         planted = gen_euclidean_metric(args.n, args.dim, args.sep, args.seed)
     elif fam == "tightness":
@@ -163,14 +159,14 @@ def _cmd_solve(args) -> int:
         cut = ball_enumeration_solve(inst)
     elif args.algo == "sqrt-stable":
         cut = sqrt_stable_solve(inst, "auto" if args.auto or args.gamma is None
-                                else _gamma_arg(args.gamma))
+                                else float(args.gamma))
     elif args.algo == "warmup-2n":
         cut = warmup_2n_solve(inst)
     elif args.algo == "spanning-tree":
         reps = args.reps
         if reps is None:
             # with a known stability level, ceil(3 / bound) repetitions
-            reps = (default_tree_repetitions(_gamma_arg(args.gamma), inst.n)
+            reps = (default_tree_repetitions(float(args.gamma), inst.n)
                     if args.gamma is not None else 32)
         verdicts["repetitions"] = reps
         cut = spanning_tree_solve(inst, seed=args.seed, repetitions=reps)
@@ -437,7 +433,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(json.dumps({"error": str(exc), "kind": "solver-failure"}), file=sys.stderr)
         return 1
-    except (StableCutError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (StableCutError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 2
 

@@ -44,10 +44,12 @@ def sample_size(C: float, eps: float, n: int) -> int:
 def failure_bound(C: float, gamma: float, m: int, n: int) -> float:
     """n * exp(-((gamma-1)/(C*(gamma+1)))^2 * m / 2), clamped to [0, 1].
 
-    Vacuous (1.0) for gamma <= 1.  gamma may be +inf.
+    Vacuous (1.0) for gamma <= 1.  gamma may be +inf, but not NaN.
     """
-    if C < 1.0:
-        raise ParameterError("C must be >= 1")
+    if not 1.0 <= C < math.inf:
+        raise ParameterError("C must be finite and >= 1")
+    if math.isnan(gamma):
+        raise ParameterError("gamma must not be NaN")
     if gamma <= 1.0:
         return 1.0
     ratio = 1.0 if math.isinf(gamma) else (gamma - 1.0) / (gamma + 1.0)

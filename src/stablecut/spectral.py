@@ -9,7 +9,10 @@ cut down to the sign pattern of the kernel.  ``build_spectral_bundle`` is
 the one place W + D' is formed; the PSD certificate, the bipolarity battery
 and the strongly bipolar perturbation all read it.  Its spectrum is computed
 only when a caller reads it; every PSD decision that needs no eigenvalue is
-made by Cholesky factorization instead.
+made by Cholesky factorization instead.  Each rule has one definition:
+``psd_rank_certificate`` decides whether W + D' is PSD of rank n-1 (the
+perturbation's precondition is its verdict), and ``glev_cut`` reads the cut
+off the least eigenvector of a shifted matrix.
 
 The relaxation side solves
 
@@ -87,10 +90,8 @@ class SpectralBundle:
     ``cut_part`` is W on the separated pairs (zero elsewhere) and ``shift``
     the diagonal of D' = D^cut - D^uncut, stored as a vector, so that
     ``shifted`` = W + D' annihilates ``delta``.  ``tol`` is
-    eig_zero_tol(shifted).  ``eigenvalues`` (ascending) and ``kernel_vector``
-    (the eigenvector of the smallest eigenvalue when that eigenvalue is
-    numerically zero, else None) both come from one ``np.linalg.eigh`` of
-    ``shifted``, run the first time either is read.
+    eig_zero_tol(shifted).  ``eigenvalues`` (ascending) come from one
+    ``np.linalg.eigh`` of ``shifted``, run the first time they are read.
     """
 
     delta: np.ndarray
@@ -100,17 +101,8 @@ class SpectralBundle:
     tol: float
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.shifted)
-
-    @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigh[0]
-
-    @property
-    def kernel_vector(self) -> np.ndarray | None:
-        eigenvalues, vectors = self._eigh
-        return vectors[:, 0] if abs(eigenvalues[0]) <= self.tol else None
+        return np.linalg.eigh(self.shifted)[0]
 
 
 def _cut_part(inst: Instance, cut: Cut) -> np.ndarray:
@@ -209,6 +201,8 @@ def glev_cut(inst: Instance, shift) -> Cut | None:
     d = np.asarray(shift, dtype=np.float64)
     if d.shape != (inst.n,):
         raise ParameterError(f"shift must be a diagonal vector of length {inst.n}")
+    if not np.isfinite(d).all():
+        raise ParameterError("shift must be finite")
     M = inst.weights + np.diag(d)
     tol = eig_zero_tol(M)
     eigenvalues, vectors = np.linalg.eigh(M)
@@ -388,7 +382,6 @@ class DualExtraction:
     """
 
     diag_values: np.ndarray
-    dual_value: float
     gap: float
     psd_residual: float
     kkt_residual: float
@@ -407,8 +400,7 @@ def gw_dual_extract(inst: Instance, gram: np.ndarray) -> DualExtraction:
     d = np.diagonal(P @ W).copy()
     A = W - np.diag(d)
     primal = float((P * W).sum())
-    dual = float(d.sum())
-    return DualExtraction(diag_values=d, dual_value=dual, gap=abs(primal - dual),
+    return DualExtraction(diag_values=d, gap=abs(primal - float(d.sum())),
                           psd_residual=float(np.linalg.eigvalsh(A)[0]),
                           kkt_residual=float(np.abs(P @ A).max()))
 
@@ -529,12 +521,13 @@ def strongly_bipolar_perturb(inst: Instance, cut: Cut, eps: float) -> Instance:
     For a cut attaining the relaxation optimum this makes the rank-one
     +/-1 Gram matrix the *unique* optimum (the shifted matrix gains rank
     n-1), so the relaxation output reads off the cut directly.  eps = 0
-    returns the instance unchanged.
+    returns the instance unchanged.  The cut is bipolar unless
+    ``psd_rank_certificate`` reads "not-psd".
     """
-    if eps < 0.0:
-        raise ParameterError("eps must be >= 0")
+    if not 0.0 <= eps < INF:
+        raise ParameterError("eps must be finite and >= 0")
     bundle = build_spectral_bundle(inst, cut)
-    if not _positive_definite(bundle.shifted + bundle.tol * np.eye(inst.n)):
+    if psd_rank_certificate(bundle) == "not-psd":
         raise PreconditionError("cut is not bipolar for this instance")
     if eps == 0.0:
         return inst

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from stablecut import acceptance
+from stablecut.instance import REL_TOL
 from stablecut.generators import (
     gen_euclidean_metric,
     gen_infinite_stable_not_distinguished,
@@ -30,27 +31,45 @@ def _check(criterion):
 
 
 def test_criterion_01_oracle_cross_validation():
-    _check(acceptance.criterion_1)
+    result = _check(acceptance.criterion_1)
+    assert {k: v for k, v in result.details.items() if k != "seconds"} == {
+        "instances": 1000, "violations": 0}
 
 
 def test_criterion_02_dense_solver():
-    _check(acceptance.criterion_2)
+    result = _check(acceptance.criterion_2)
+    assert result.details == {
+        "bipartite-noise(14,8) m=8": "freq=0.0280 bound=1.0000",
+        "bipartite-noise(14,8) m=16": "freq=0.0020 bound=1.0000",
+        "bipartite-noise(14,8) m=32": "freq=0.0000 bound=1.0000",
+        "complete-bipartite(14) m=8": "freq=0.0050 bound=1.0000",
+        "complete-bipartite(14) m=16": "freq=0.0000 bound=1.0000",
+        "complete-bipartite(14) m=32": "freq=0.0000 bound=0.2564",
+        "recovery": "enum=49/50 seeded=48/50 bound(m=10)=1.000"}
 
 
 def test_criterion_03_metric_reduction():
-    _check(acceptance.criterion_3)
+    result = _check(acceptance.criterion_3)
+    # the weight error is rounding, so it is held to the criterion's bound, not to its digits
+    assert result.details["instances"] == 100
+    assert float(result.details["worst_weight_rel_err"]) <= REL_TOL
 
 
 def test_criterion_04_ball_guarantee():
-    _check(acceptance.criterion_4)
+    result = _check(acceptance.criterion_4)
+    assert result.details == {"qualified": 100, "tightness_gamma_local": 2.75,
+                              "tightness_gamma_subset": 1.666667,
+                              "tightness_ball_weight": 37.0, "tightness_opt": 44.0}
 
 
 def test_criterion_05_cut_edge_lower_bound():
-    _check(acceptance.criterion_5)
+    result = _check(acceptance.criterion_5)
+    assert result.details == {"instances": 100, "worst_slack": "1.138e-03"}
 
 
 def test_criterion_06_merging_solvers():
-    _check(acceptance.criterion_6)
+    result = _check(acceptance.criterion_6)
+    assert result.details == {"sqrt": "100/100", "warmup": "100/100"}
 
 
 def test_criterion_07_spanning_tree():
@@ -75,7 +94,9 @@ def test_criterion_09_relaxation_battery():
 
 
 def test_criterion_10_locally_stable_counts():
-    _check(acceptance.criterion_10)
+    result = _check(acceptance.criterion_10)
+    assert result.details == {"instances": 50, "max_count_over_n3": "0.0059",
+                              "matching_contrast_count": 4}
 
 
 def _gw_pool_by_residues(seed, count):

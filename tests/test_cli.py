@@ -456,3 +456,37 @@ def test_spectral_outputs_on_float_weights_are_pinned(tmp_path, capsys):
             perturbed = b"not bipolar"
         h.update(certify.encode() + solve.replace(path, name).encode() + perturbed)
     assert h.hexdigest() == "69639020bc1d9f7237c525939a0bcf60e6ebfb820e876f60852a1b4ae5f384af"
+
+
+# every command of the CLI once: gen for each family, solve for each algorithm
+# with the oracle, verify with and without a cut, certify and split
+GOLDEN_ARGVS = (
+    ("gen", "planted-partition", "--n", "10", "--seed", "1", "-o", "pp.json"),
+    ("gen", "bipartite-noise", "--n", "10", "--gamma", "40", "--seed", "2", "-o", "bn.json"),
+    ("gen", "euclidean", "--n", "8", "--dim", "2", "--seed", "3", "-o", "eu.json"),
+    ("gen", "tightness", "--pairs", "2", "--seed", "0", "-o", "tight.json"),
+    ("gen", "matching-eps", "--pairs", "3", "--seed", "0", "-o", "me.json"),
+    ("gen", "stable-not-distinguished", "--pairs", "3", "--seed", "0", "-o", "snd.json"),
+    ("solve", "bn.json", "--algo", "brute", "--with-oracle", "--cut-out", "bn.cut.json"),
+    ("solve", "bn.json", "--algo", "dense", "--m", "8", "--seed", "1", "--with-oracle"),
+    ("solve", "eu.json", "--algo", "metric-dense", "--m", "8", "--seed", "2", "--with-oracle"),
+    ("solve", "eu.json", "--algo", "ball", "--with-oracle"),
+    ("solve", "bn.json", "--algo", "sqrt-stable", "--auto", "--with-oracle"),
+    ("solve", "bn.json", "--algo", "warmup-2n", "--with-oracle"),
+    ("solve", "bn.json", "--algo", "spanning-tree", "--gamma", "40", "--seed", "3", "--with-oracle"),
+    ("solve", "pp.json", "--algo", "gw", "--seed", "4", "--with-oracle"),
+    ("verify", "tight.json"),
+    ("verify", "bn.json", "--cut", "bn.cut.json"),
+    ("certify", "bn.json", "bn.cut.json", "--spectral", "--seed", "5"),
+    ("split", "eu.json", "-o", "eu.split.json", "--map", "eu.map.json"),
+)
+
+
+def test_cli_outputs_match_a_golden_digest(tmp_path, capsys, monkeypatch):
+    # relative paths from one working directory, because solve prints the instance path
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for argv in GOLDEN_ARGVS:
+        code, out = run(capsys, *argv)
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == "d51f3b39f0bfb6f5aaa60317a8e1327ac68f247e96160266a258c65af3e82788"

@@ -41,6 +41,17 @@ def test_failure_bound_examples():
         == pytest.approx(delta / 2, rel=1e-12)
 
 
+def test_failure_bound_rejects_nan_and_an_unusable_C():
+    # C must be finite and >= 1, as in DenseSolverConfig, and gamma must not be NaN
+    for C, gamma in ((math.nan, 3.0), (math.inf, 3.0), (0.5, 3.0), (2.0, math.nan)):
+        with pytest.raises(ParameterError):
+            sc.failure_bound(C, gamma, 10, 10)
+    # gamma = +inf and every gamma <= 1 keep their values
+    assert sc.failure_bound(2.0, math.inf, 100, 10) == 10 * math.exp(-0.5 * 0.25 * 100)
+    for gamma in (1.0, 0.5, -math.inf):
+        assert sc.failure_bound(2.0, gamma, 100, 10) == 1.0
+
+
 def test_dense_solve_c4_enumerate(c4):
     cut = sc.dense_solve(c4, DenseSolverConfig(m=4, seed=0))
     assert sc.cut_weight(c4, cut) == 4.0

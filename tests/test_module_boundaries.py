@@ -100,7 +100,6 @@ def test_acceptance_criteria_take_only_a_seed():
 
 # exported names that may stay without a caller, each with its reason
 UNCALLED_EXPORTS = {
-    "glev_cut": "the least-eigenvector cut that the one rigorous upper bound of ROADMAP item 4 calls",
     "instance_stability": "the entry point of the README quick start",
 }
 

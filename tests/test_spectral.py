@@ -204,13 +204,8 @@ def test_certificate_path_decomposes_nothing(monkeypatch, c4, k3):
                 sc.strongly_bipolar_perturb(inst, cut, 0.1)
             bundles.append(bundle)
     for bundle in bundles:
-        ev, vectors = np.linalg.eigh(bundle.shifted)
-        assert bundle.eigenvalues.tobytes() == ev.tobytes()
+        assert bundle.eigenvalues.tobytes() == np.linalg.eigh(bundle.shifted)[0].tobytes()
         assert bundle.eigenvalues is bundle.eigenvalues  # decomposed once
-        if abs(ev[0]) > bundle.tol:
-            assert bundle.kernel_vector is None
-        else:
-            assert bundle.kernel_vector.tobytes() == vectors[:, 0].tobytes()
 
 
 def test_distinguished_condition(c4, k3, c4_maxcut):
@@ -253,6 +248,14 @@ def test_glev_cut(c4, c4_maxcut):
 
     with pytest.raises(PreconditionError):
         sc.glev_cut(c4, np.zeros(4))  # W alone is indefinite
+
+
+def test_glev_cut_rejects_a_nan_or_infinite_shift(c4):
+    for bad in (math.nan, math.inf, -math.inf):
+        shift = np.full(4, 2.0)
+        shift[1] = bad
+        with pytest.raises(ParameterError, match="^shift must be finite$"):
+            sc.glev_cut(c4, shift)
 
 
 def test_glev_stability_condition(c4_maxcut):
@@ -514,7 +517,7 @@ def test_weak_duality_for_feasible_duals():
         sol = sc.gw_primal_solve(inst, seed=4)
         ext = sc.gw_dual_extract(inst, sol.gram)
         if ext.psd_residual >= -eig_zero_tol(inst.weights):  # dual is feasible
-            assert ext.dual_value <= sol.primal_value + 1e-9 * weight_scale(inst.weights)
+            assert ext.diag_values.sum() <= sol.primal_value + 1e-9 * weight_scale(inst.weights)
 
 
 def test_rounding(c4, k3, c4_maxcut):
@@ -654,6 +657,12 @@ def test_strongly_bipolar_perturb(c4, k3, c4_maxcut):
 
     with pytest.raises(PreconditionError):
         sc.strongly_bipolar_perturb(k3, sc.Cut([True, False, False]), 0.1)
+
+
+def test_strongly_bipolar_perturb_rejects_a_nan_or_infinite_eps(c4, c4_maxcut):
+    for eps in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(ParameterError, match="^eps must be finite and >= 0$"):
+            sc.strongly_bipolar_perturb(c4, c4_maxcut, eps)
 
 
 def test_scaling_equivalence_with_least_eigenvector_shift():
