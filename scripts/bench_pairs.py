@@ -21,8 +21,14 @@ every pair, so an interrupted run keeps the pairs it finished.  The file holds:
 - ``summary``: per workload, seed and pair of checkout directories, each
   side's median and quartiles per metric, how many pairs the change won (in
   the direction ``BENCHMARK.json`` declares) and whether the medians differ by
-  more than the base side's quartile spread.  Pairs run from different
-  directories are not pooled, since the directory alone can move a timing;
+  more than the base side's quartile spread.  The row of an end-to-end metric
+  also reads it as the no-regression gate does: its ``bound`` from
+  ``BENCHMARK.json``, ``worse_past_bound`` when the change's median is worse
+  than the base median by more than ``bound`` times the base median, and
+  ``unresolved`` when the base side's quartile spread is wider than that,
+  unless every run of the change reads better than every run of the base.
+  Pairs run from different directories are not pooled, since the directory
+  alone can move a timing;
 - ``excluded``: the pairs left out of the summary, with the reason.  A pair is
   left out when either side exits nonzero, prints no parsable result, reads
   ``correct`` other than true, or when the change fails more operations than
@@ -96,9 +102,24 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def tabulate(doc: dict, better: dict) -> tuple[dict, list[dict]]:
+def gate(row: dict, base_runs: list[float], change_runs: list[float]) -> dict:
+    """How the no-regression gate reads a summarized row with a relative ``bound``."""
+    sign = 1.0 if row["better"] == "higher" else -1.0  # sign * value grows as it gets better
+    base, change = row["base"], row["change"]
+    slack = row["bound"] * abs(base["median"])
+    reading = {"worse_past_bound": sign * (base["median"] - change["median"]) > slack}
+    if base["q1"] is not None:
+        clear_win = min(sign * v for v in change_runs) > max(sign * v for v in base_runs)
+        reading["unresolved"] = base["q3"] - base["q1"] > slack and not clear_win
+    return reading
+
+
+def tabulate(doc: dict, declared: dict) -> tuple[dict, list[dict]]:
     """Per workload, seed and checkout directories: both sides' medians and quartiles,
-    and pair wins, over the pairs that ``exclusion`` admits; and the excluded pairs."""
+    and pair wins, over the pairs that ``exclusion`` admits; and the excluded pairs.
+
+    ``declared`` maps a metric name to its ``end_to_end`` entry in
+    ``BENCHMARK.json``, which gives its "better" direction and its "bound"."""
     table: dict = {}
     excluded = []
     for k, pair in enumerate(doc["pairs"]):
@@ -113,7 +134,9 @@ def tabulate(doc: dict, better: dict) -> tuple[dict, list[dict]]:
         for name, entry in change.items():
             if name not in base:
                 continue
-            row = rows.setdefault(name, {"unit": entry["unit"], "better": better.get(name),
+            spec = declared.get(name, {})
+            row = rows.setdefault(name, {"unit": entry["unit"], "better": spec.get("better"),
+                                         "bound": spec.get("bound"),
                                          "base": [], "change": [], "wins": 0, "pairs": 0})
             b, c = base[name]["value"], entry["value"]
             row["base"].append(b)
@@ -125,11 +148,14 @@ def tabulate(doc: dict, better: dict) -> tuple[dict, list[dict]]:
                 row["wins"] += c < b
     for rows in table.values():
         for row in rows.values():
+            runs = row["base"], row["change"]
             base, change = summary(row["base"]), summary(row["change"])
             row["base"], row["change"] = base, change
             if base["q1"] is not None:
                 row["median_shift_exceeds_base_iqr"] = (
                     abs(change["median"] - base["median"]) > base["q3"] - base["q1"])
+            if row["bound"] is not None:
+                row.update(gate(row, *runs))
     return table, excluded
 
 
@@ -143,7 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
     seconds = str(benchmark["run_seconds"])
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     paths = {side: os.path.relpath(p, ROOT) for side, p in sides.items()}
@@ -176,7 +202,7 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
             pair[side] = run_once(sides[side], [a.format(seed=seed) for a in run_argv])
         pairs.append(pair)
-        doc["summary"], doc["excluded"] = tabulate(doc, better)
+        doc["summary"], doc["excluded"] = tabulate(doc, declared)
         out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
     return 0

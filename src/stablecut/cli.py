@@ -41,7 +41,6 @@ from .instance import (
 from .metric import ball_enumeration_solve, metric_dense_solve, normalize_total_weight, split_instance
 from .oracle import (
     brute_force_maxcut,
-    cut_stability_gamma,
     local_stability_gamma,
     subset_scan_minima,
 )
@@ -295,7 +294,7 @@ def _bench_stability_sweep(seed: int) -> dict:
             planted = gen_stable_bipartite_noise(n, gamma_target, seed * 71 + i)
             inst = planted.instance
             opt, _, _ = brute_force_maxcut(inst)
-            gammas.append(cut_stability_gamma(inst, opt))
+            gammas.append(planted.claims["gamma"])
             try:
                 per_solver["sqrt-stable"] += same_bipartition(
                     sqrt_stable_solve(inst, "auto"), opt)

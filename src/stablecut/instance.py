@@ -166,6 +166,30 @@ def cut_weights_for_sides(weights: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return (weights.sum() - quad) / 4.0
 
 
+def heaviest_side(inst: Instance, sides: np.ndarray) -> tuple[int, float]:
+    """Index and ``cut_weight`` of the first column of ``sides`` whose cut is heaviest.
+
+    ``sides`` is an (n, k) boolean block of valid cuts, scored at once with
+    ``cut_weights_for_sides``.  That score and ``cut_weight`` each lie within
+    (n^2 + n + 1) eps/2 * w(V, V) of the exact cut weight, so they differ by at
+    most half of ``margin``, and only a column scoring within ``margin`` of the
+    best score can be the heaviest by ``cut_weight``.  Those columns are weighed
+    with ``cut_weight``, each distinct one once, and the first maximum wins.
+    """
+    W = inst.weights
+    margin = 2.0 * (inst.n ** 2 + inst.n + 1) * np.finfo(float).eps * float(W.sum())
+    scores = cut_weights_for_sides(W, sides)
+    best, best_w, seen = -1, -np.inf, set()
+    for j in np.flatnonzero(scores >= scores.max() - margin).tolist():
+        key = sides[:, j].tobytes()
+        if key not in seen:  # a repeat weighs what its first copy did, and cannot win
+            seen.add(key)
+            w = cut_weight(inst, Cut(sides[:, j]))
+            if w > best_w:
+                best, best_w = j, w
+    return best, best_w
+
+
 def contract(weights: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     """Contract u and v in a weight matrix; the internal weight w(u,v) is dropped.
 

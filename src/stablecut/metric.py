@@ -20,8 +20,7 @@ import numpy as np
 
 from .dense import DenseSolverConfig, best_induced_cut, draw_samples
 from .errors import DegenerateInstanceError, ParameterError, PreconditionError
-from .instance import (Cut, Instance, REL_TOL, check_cut, cut_weight, cut_weights_for_sides,
-                       is_metric)
+from .instance import Cut, Instance, REL_TOL, check_cut, heaviest_side, is_metric
 
 # Absorbs representation error in floor(tau) after floating-point
 # normalization; tau >= n analytically so a one-off cannot occur.
@@ -120,27 +119,18 @@ def ball_enumeration_solve(inst: Instance) -> Cut:
     optimum is a ball, so the scan is exact there; below that threshold it
     simply returns the best ball cut, which may be suboptimal.
 
-    The balls are scored n rows at a time with the quadratic identity of
-    ``cut_weights_for_sides``.  That score and ``cut_weight`` each lie within
-    (n^2 + n + 1) eps/2 * w(V, V) of the exact cut weight, so they differ by
-    at most half of ``margin``, and only a ball scoring within ``margin`` of
-    its block's maximum can be the heaviest by ``cut_weight``.  Those balls
-    are weighed with ``cut_weight`` in enumeration order and the first
-    maximum wins, so the pick is the one a ``cut_weight`` of every ball gives.
+    The balls go to ``heaviest_side`` n at a time, in enumeration order, and
+    the first heaviest ball by ``cut_weight`` wins.
     """
     _require_metric(inst)
-    n, W = inst.n, inst.weights
-    margin = 2.0 * (n * n + n + 1) * np.finfo(float).eps * float(W.sum())
     balls = enumerate_balls(inst)
     best_w = -math.inf
     best = None
-    for start in range(0, len(balls), n):
-        block = balls[start:start + n]
-        scores = cut_weights_for_sides(W, block.T)
-        for inside in block[scores >= scores.max() - margin]:
-            w = cut_weight(inst, Cut(inside))
-            if w > best_w:
-                best_w, best = w, inside
+    for start in range(0, len(balls), inst.n):
+        block = balls[start:start + inst.n]
+        j, w = heaviest_side(inst, block.T)
+        if w > best_w:
+            best_w, best = w, block[j]
     return Cut(best)
 
 

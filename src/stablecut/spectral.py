@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, SolverFailure
-from .instance import Cut, Instance, check_cut, cut_weight
+from .instance import Cut, Instance, check_cut, heaviest_side
 from .oracle import distinction_alpha, local_stability_gamma, subset_scan_minima
 
 INF = math.inf
@@ -418,37 +418,27 @@ class GwRounding:
 def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 32) -> GwRounding:
     """Round solved vectors through uniformly random hyperplanes.
 
-    Each trial samples a direction v and takes S = {i : <v, v_i> > 0}; the
-    heaviest valid cut over all trials wins, the first trial to reach it
-    giving the projection; trials whose sign pattern is one-sided (an
-    exactly zero projection among them) yield no candidate.  Each distinct
-    side is weighed once per call: trials mostly repeat a side.
+    Each trial samples a direction v and takes S = {i : <v, v_i> > 0}; trials
+    whose sign pattern is one-sided (an exactly zero projection among them)
+    yield no candidate.  The valid sides go to ``heaviest_side``, and the
+    first trial to reach the heaviest cut gives the projection.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     V = np.asarray(vectors, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != inst.n:
         raise ParameterError("vectors must be (n, r)")
-    n = inst.n
     rng = np.random.default_rng(seed)
-    weighed: dict[bytes, tuple[Cut, float]] = {}
-    best: GwRounding | None = None
+    projections = []
     for _ in range(trials):
         u = V @ rng.normal(size=V.shape[1])
-        side = u > 0.0
-        if not 0 < np.count_nonzero(side) < n:
-            continue
-        # keyed by the side itself: a complement sums in another order
-        key = side.tobytes()
-        if key not in weighed:
-            cut = Cut(side)
-            weighed[key] = cut, cut_weight(inst, cut)
-        cut, w = weighed[key]
-        if best is None or w > best.weight:
-            best = GwRounding(cut=cut, weight=w, projection=u)
-    if best is None:
+        if 0 < np.count_nonzero(u > 0.0) < inst.n:
+            projections.append(u)
+    if not projections:
         raise SolverFailure("every rounding trial produced a one-sided pattern")
-    return best
+    sides = np.array(projections).T > 0.0
+    j, w = heaviest_side(inst, sides)
+    return GwRounding(cut=Cut(sides[:, j]), weight=w, projection=projections[j])
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,28 @@ def test_stable_bipartite_noise():
         sc.gen_stable_bipartite_noise(10, 0.5, seed=0)
 
 
+def test_claimed_gamma_is_the_subset_scan_at_the_planted_cut_and_the_optimum():
+    """Criterion 6 and the stability sweep read claims["gamma"] in place of
+    the scan; the scan sees a cut only through its separated pairs, so the
+    complement the oracle may return reads the same."""
+    pool = [(n, target, seed) for n in (4, 8, 12, 16) for target in (1.5, 8.0, 2.4 * n, INF)
+            for seed in (n, 3 * n + 1)]
+    pool += [(20, 8.0, 5), (20, INF, 6)]
+    infinite = 0
+    for n, target, seed in pool:
+        planted = sc.gen_stable_bipartite_noise(n, target, seed)
+        assert planted.claims["verification"] == "subset-oracle"
+        claim = np.float64(planted.claims["gamma"]).tobytes()
+        scan = sc.cut_stability_gamma(planted.instance, planted.planted_cut)
+        assert np.float64(scan).tobytes() == claim, (n, target, seed)
+        opt, _, _ = sc.brute_force_maxcut(planted.instance)
+        assert sc.same_bipartition(opt, planted.planted_cut)
+        for cut in (opt, opt.complement()):
+            assert np.float64(sc.cut_stability_gamma(planted.instance, cut)).tobytes() == claim
+        infinite += math.isinf(scan)
+    assert infinite == 9
+
+
 def test_euclidean_metric():
     planted = sc.gen_euclidean_metric(4, 1, 10.0, seed=0)
     assert sc.is_metric(planted.instance).ok

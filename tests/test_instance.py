@@ -6,7 +6,7 @@ import pytest
 
 import stablecut as sc
 from stablecut.errors import InvalidCutError, InvalidInstanceError, ParameterError
-from stablecut.instance import contract
+from stablecut.instance import contract, cut_weights_for_sides, heaviest_side
 from stablecut.spectral import build_spectral_bundle
 
 from conftest import random_cut, random_instance, subset_stats
@@ -136,6 +136,68 @@ def test_cut_weight_complement_invariance():
         cut = random_cut(rng, 6)
         assert sc.cut_weight(inst, cut) == pytest.approx(
             sc.cut_weight(inst, cut.complement()), rel=1e-15)
+
+
+def _ref_heaviest_side(inst, sides):
+    """Weigh every column with cut_weight; the first maximum wins."""
+    best, best_w = -1, -np.inf
+    for j in range(sides.shape[1]):
+        w = sc.cut_weight(inst, sc.Cut(sides[:, j]))
+        if w > best_w:
+            best, best_w = j, w
+    return best, best_w
+
+
+def _side_block(rng, n, k):
+    """k valid sides, a quarter of them followed by their complement and a
+    sixth by a copy of themselves."""
+    cols = []
+    while len(cols) < k:
+        side = rng.random(n) < 0.5
+        if 0 < side.sum() < n:
+            cols.append(side)
+            r = rng.random()
+            if r < 0.25:
+                cols.append(~side)
+            elif r < 0.4:
+                cols.append(side.copy())
+    return np.array(cols[:k]).T
+
+
+def _matching_block(rng, n_pairs, k):
+    """k sides that each split every matched pair: all of equal exact weight."""
+    flips = rng.random((k, n_pairs)) < 0.5
+    sides = np.empty((2 * n_pairs, k), dtype=bool)
+    sides[0::2], sides[1::2] = flips.T, ~flips.T
+    return sides
+
+
+def test_heaviest_side_matches_weighing_every_column():
+    rng = np.random.default_rng(29)
+    cases = []
+    for seed in range(30):  # float weights
+        n = int(rng.integers(2, 20))
+        cases.append((random_instance(rng, n), _side_block(rng, n, int(rng.integers(1, 40)))))
+    for seed in range(30):  # unit weights: exact ties
+        n = int(rng.integers(4, 20))
+        cases.append((sc.gen_planted_partition(n, 0.6, 0.3, seed).instance,
+                       _side_block(rng, n, int(rng.integers(1, 40)))))
+    cases.append((sc.Instance(np.ones((5, 5)) - np.eye(5)), _side_block(rng, 5, 1)))
+    for n_pairs in (8, 12, 20):  # exact ties that float sums break by an ulp, either way
+        for _ in range(40):
+            eps = float(rng.choice([0.1, 0.3, 1 / 3, 0.7, 1e-3, rng.uniform(0.0, 1.0)]))
+            cases.append((sc.gen_matching_epsilon(n_pairs, eps), _matching_block(rng, n_pairs, 64)))
+
+    repeats = near_ties = 0
+    for k, (inst, sides) in enumerate(cases):
+        j, w = heaviest_side(inst, sides)
+        want_j, want_w = _ref_heaviest_side(inst, sides)
+        assert j == want_j and np.float64(w).tobytes() == np.float64(want_w).tobytes(), k
+        scores = cut_weights_for_sides(inst.weights, sides)
+        near_ties += scores[want_j] < scores.max()
+        repeats += len({sides[:, c].tobytes() for c in range(sides.shape[1])}) < sides.shape[1]
+    # the best quadratic score is often not the heaviest cut by cut_weight
+    assert near_ties >= 10 and repeats >= 40
 
 
 def test_contract_examples(c4, k3):
