@@ -24,6 +24,9 @@ REL_TOL = 1e-9
 # absorbs accumulation error without masking genuinely tiny weights.
 ZERO_FRACTION = 1e-12
 
+_NOT_NONNEGATIVE = "weights must be finite and nonnegative, with a finite total"
+_NOT_CONNECTED = "positive-weight support graph must be connected"
+
 
 def support_connected(weights: np.ndarray) -> bool:
     """BFS over the positive-weight support graph."""
@@ -59,13 +62,13 @@ class Instance:
         with np.errstate(over="ignore", invalid="ignore"):  # NaN, +-inf, or a sum that overflows
             finite = np.isfinite(W.sum())
         if (W < 0.0).any() or not finite:
-            raise InvalidInstanceError("weights must be finite and nonnegative, with a finite total")
+            raise InvalidInstanceError(_NOT_NONNEGATIVE)
         if not np.array_equal(W, W.T):
             raise InvalidInstanceError("weights must be exactly symmetric")
         if np.diagonal(W).any():
             raise InvalidInstanceError("diagonal weights must be zero")
         if not support_connected(W):
-            raise InvalidInstanceError("positive-weight support graph must be connected")
+            raise InvalidInstanceError(_NOT_CONNECTED)
         W.flags.writeable = False
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "n", n)
@@ -286,7 +289,8 @@ def instance_from_json(doc: dict) -> Instance:
     Every entry is checked at once on arrays, and the error names the first
     offending entry in file order, by the first check it fails: shape
     [i, j, w], then types, then the vertex pair (in range, not a self-loop),
-    then a pair listed before, then a finite weight.
+    then a pair listed before, then a finite weight.  A document with fewer
+    than n - 1 entries is rejected before the n x n matrix is allocated.
     """
     n = doc.get("n") if isinstance(doc, dict) else None
     if type(n) is not int or n < 2 or type(doc.get("weights")) is not list:
@@ -321,6 +325,14 @@ def instance_from_json(doc: dict) -> Instance:
         if repeated[k]:
             raise InvalidInstanceError(f"pair {pair} listed more than once")
         raise InvalidInstanceError(f"weight of pair {pair} is not a finite float")
+    if len(entries) < n - 1:
+        # fewer than n - 1 pairs cannot connect n vertices: answer as Instance
+        # would, before allocating the n x n matrix
+        with np.errstate(over="ignore"):
+            total = 2.0 * w.astype(np.float64).sum()
+        if (w < 0).any() or not np.isfinite(total):
+            raise InvalidInstanceError(_NOT_NONNEGATIVE)
+        raise InvalidInstanceError(_NOT_CONNECTED)
     W = np.zeros((n, n))
     W[lo, hi] = w
     W[hi, lo] = w

@@ -200,6 +200,17 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
         assert code == 2
 
 
+def test_too_few_entries_to_connect_exit_2_before_allocating(tmp_path, capsys):
+    # an n x n matrix at n = 10**7 would fail its allocation; too few pairs to
+    # connect the vertices is a malformed file, which exits 2, not 1
+    path = tmp_path / "sparse.json"
+    path.write_text('{"n": 10000000, "weights": [[0, 1, 1.0]]}')
+    code = main(["solve", str(path), "--algo", "brute"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "positive-weight support graph must be connected"
+
+
 def test_weights_whose_total_overflows_exit_2(tmp_path, capsys):
     # each weight is finite; their total is not
     path = tmp_path / "overflow.json"
@@ -455,7 +466,7 @@ def test_spectral_outputs_on_float_weights_are_pinned(tmp_path, capsys):
         except PreconditionError:
             perturbed = b"not bipolar"
         h.update(certify.encode() + solve.replace(path, name).encode() + perturbed)
-    assert h.hexdigest() == "69639020bc1d9f7237c525939a0bcf60e6ebfb820e876f60852a1b4ae5f384af"
+    assert h.hexdigest() == "397f64a08ac9e8c5e9901c8b4441954ca0bc87c4938ce80f9c14def221a85173"
 
 
 # every command of the CLI once: gen for each family, solve for each algorithm

@@ -509,6 +509,20 @@ def test_instance_json_matches_the_per_entry_reader():
     assert {"ok", "weight", "bad", "pair"} <= outcomes  # every check of the reader fires
 
 
+def test_instance_json_with_too_few_entries_fails_as_the_per_entry_reader():
+    # fewer than n - 1 entries are rejected before the matrix is built, with
+    # the message Instance gives: a negative weight or an infinite total first
+    for entries in ([], [[0, 1, 1.0]], [[0, 1, 1.0], [2, 3, 0.5]], [[0, 1, -1.0]],
+                    [[2, 3, 1.0], [0, 1, -0.0]], [[0, 1, 1e308]], [[0, 1, 10 ** 30], [1, 2, 1.5]],
+                    [[0, 1, -(2 ** 63)], [1, 2, 1.0]]):
+        doc = {"n": 4, "weights": entries}
+        with pytest.raises(InvalidInstanceError) as expected:
+            _reference_instance_from_json(doc)
+        with pytest.raises(InvalidInstanceError) as got:
+            sc.instance_from_json(doc)
+        assert str(got.value) == str(expected.value)
+
+
 def test_cut_json_roundtrip(tmp_path):
     cut = sc.Cut([True, False, False, True])
     path = tmp_path / "cut.json"

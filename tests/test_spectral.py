@@ -461,6 +461,58 @@ def test_interior_point_finish(c4, k3, c4_maxcut):
     assert np.abs(sol.vectors @ sol.vectors.T - X).max() <= 1e-12
 
 
+def _reference_interior_point(W, floor):
+    """The finish before its Newton systems were solved by LU: Z^-1 and dy from
+    one eigh each, every other rule the same.  Kept to pin the LU finish's
+    iteration counts, flags and values."""
+    n = W.shape[0]
+    X = np.eye(n)
+    y = 1.1 * np.abs(W).sum(axis=1) + floor
+    Z = np.diag(y) + W
+    diag = np.diag_indices(n)
+    mu = float(np.vdot(X, Z)) / (2 * n)
+    for iteration in range(1, spectral.FINISH_ITERATIONS + 1):
+        lam, Q = np.linalg.eigh(Z)
+        Zi = (Q / lam) @ Q.T
+        Zi = (Zi + Zi.T) / 2
+        lam, Q = np.linalg.eigh(Zi * X)
+        dy = Q @ ((Q.T @ (mu * np.diagonal(Zi) - 1.0)) / lam)
+        dX = mu * Zi - X - (Zi * dy) @ X
+        dX = (dX + dX.T) / 2
+        alpha_p = spectral._step_length(X, dX)
+        X += alpha_p * dX
+        alpha_d = spectral._step_length(Z, np.diag(dy))
+        y += alpha_d * dy
+        Z[diag] += alpha_d * dy
+        mu = float(np.vdot(X, Z)) / (2 * n)
+        if alpha_p + alpha_d > 1.8:
+            mu /= 2
+        dual = float(y.sum())
+        if dual + float(np.vdot(W, X)) <= spectral.RELAX_TOL * (floor + abs(dual)):
+            return X, True, iteration
+    return X, False, spectral.FINISH_ITERATIONS
+
+
+def test_finish_matches_the_eigh_reference():
+    runs = [(inst, seed + 2 * idx + k)
+            for seed in (DEFAULT_SEED, 1, 7) for idx, inst in enumerate(gw_pool(seed, 200))
+            for k in (0, 1)]
+    runs += [(sc.gen_planted_partition(n, 0.6, 0.4, s).instance, s)
+             for n in (24, 40, 64) for s in (1, 2, 3)]
+    finished = 0
+    for inst, seed in runs:
+        sol = sc.gw_primal_solve(inst, seed=seed, max_sweeps=20_000)
+        if not sol.finish_iterations:
+            continue
+        finished += 1
+        W = inst.weights
+        X, converged, iterations = _reference_interior_point(W, min(1.0, float(W.sum())))
+        assert (sol.finish_iterations, sol.converged) == (iterations, converged)
+        value = float(np.vdot(W, X))
+        assert abs(sol.primal_value - value) <= 1e-12 * abs(value)
+    assert finished == 274
+
+
 def test_finish_that_runs_out_of_iterations_is_not_converged(monkeypatch):
     # a solve whose gap was not certified never reports converged
     monkeypatch.setattr(spectral, "FINISH_ITERATIONS", 1)
