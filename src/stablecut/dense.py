@@ -5,19 +5,12 @@ collection of bipartitions (L, R) of the sample multiset forms the cut
 
     S = {x : w(x, R) > w(x, L)}
 
-keeping the heaviest valid cut.  Ties w(x, R) = w(x, L) put x on the
-complement side of S, deterministically.  With the true sides of the sample
-as the partition, every vertex lands correctly unless its weighted sample
-majority falls on its own side; the failure probability of that event is
-bounded by ``failure_bound``.
-
-The heaviest cut is the first argmax of the quadratic identity of
-``cut_weights_for_sides``, not ``instance.heaviest_side``, which the other
-solvers share.  ``cut_weight`` sums S and S-bar in different orders, and the
-last bit differed on 73 of 200 random cuts of gen_stable_bipartite_noise(14,
-2, s); on 480 seeded dense_solve runs (four families, enumerate and sampled
-partitions) the shared rule picked another cut 59 times, 53 of them only the
-complement side.  Keeping the argmax keeps every dense output as it was.
+keeping the heaviest valid cut, which ``instance.heaviest_side`` picks as
+for every other solver.  Ties w(x, R) = w(x, L) put x on the complement side
+of S, deterministically.  With the true sides of the sample as the
+partition, every vertex lands correctly unless its weighted sample majority
+falls on its own side; the failure probability of that event is bounded by
+``failure_bound``.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverFailure
-from .instance import Cut, Instance, cut_weights_for_sides
+from .instance import Cut, Instance, heaviest_side
 
 _SCORE_CHUNK = 1 << 14
 
@@ -139,17 +132,6 @@ def induced_side_matrix(W: np.ndarray, samples: np.ndarray,
     return (M @ signs.T) > 0.0
 
 
-def _best_valid(W: np.ndarray, sides: np.ndarray) -> tuple[int, float] | None:
-    """Index and weight of the heaviest nondegenerate side vector (first wins ties)."""
-    counts = sides.sum(axis=0)
-    valid = np.flatnonzero((counts > 0) & (counts < W.shape[0]))
-    if valid.size == 0:
-        return None
-    w = cut_weights_for_sides(W, sides[:, valid])
-    k = int(np.argmax(w))
-    return int(valid[k]), float(w[k])
-
-
 def best_induced_cut(inst: Instance, votes: np.ndarray, samples: np.ndarray,
                      cfg: DenseSolverConfig) -> Cut:
     """Heaviest valid cut of ``inst`` induced by the sample partitions ``cfg`` selects.
@@ -164,15 +146,11 @@ def best_induced_cut(inst: Instance, votes: np.ndarray, samples: np.ndarray,
         if cfg.seed_cut.n != inst.n:
             raise ParameterError("seed_cut size mismatch")
         sample_sides = cfg.seed_cut.side[samples]
-    best_side, best_w = None, -math.inf
-    for r_masks in _partition_chunks(cfg, samples, sample_sides):
-        sides = induced_side_matrix(votes, samples, r_masks)
-        hit = _best_valid(inst.weights, sides)
-        if hit is not None and hit[1] > best_w:
-            best_side, best_w = sides[:, hit[0]].copy(), hit[1]
-    if best_side is None:
+    hit = heaviest_side(inst, (induced_side_matrix(votes, samples, r_masks)
+                               for r_masks in _partition_chunks(cfg, samples, sample_sides)))
+    if hit is None:
         raise SolverFailure("every sample partition induced a degenerate cut")
-    return Cut(best_side)
+    return Cut(hit[1])
 
 
 def dense_solve(inst: Instance, cfg: DenseSolverConfig) -> Cut:

@@ -14,7 +14,7 @@ class InvalidCutError(StableCutError):
 
 
 class SizeLimitError(StableCutError):
-    """Exhaustive oracle invoked above its configured vertex cap."""
+    """An exhaustive scan, or the instance loader, given n above its vertex cap."""
 
 
 class ParameterError(StableCutError):

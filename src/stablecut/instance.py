@@ -1,5 +1,8 @@
 """Core data model: weighted MAXCUT instances, cuts, cut weights and JSON I/O.
 
+``heaviest_side`` is the one rule by which every solver picks the heaviest of
+its candidate cuts.
+
 Weights are a symmetric nonnegative matrix with zero diagonal whose support
 graph is connected.  Instances and cuts are immutable after construction and
 all operations here are pure functions, so everything is safe to share across
@@ -10,11 +13,12 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCutError, InvalidInstanceError, ParameterError
+from .errors import InvalidCutError, InvalidInstanceError, ParameterError, SizeLimitError
 
 # Relative tolerance used by every floating-point comparison in the stability
 # verifiers.  The underlying theory works over exact reals.
@@ -23,6 +27,10 @@ REL_TOL = 1e-9
 # Sums are declared "exactly zero" below this fraction of the total weight;
 # absorbs accumulation error without masking genuinely tiny weights.
 ZERO_FRACTION = 1e-12
+
+# Largest n that instance_from_json accepts: the loader holds two n x n float64
+# copies at once, the matrix it fills and Instance's own, 256 MiB at this n.
+LOAD_MAX_N = 4096
 
 _NOT_NONNEGATIVE = "weights must be finite and nonnegative, with a finite total"
 _NOT_CONNECTED = "positive-weight support graph must be connected"
@@ -152,9 +160,13 @@ def check_cut(inst: Instance, cut: Cut) -> None:
 
 
 def cut_weight(inst: Instance, cut: Cut) -> float:
-    """w(S, S-bar): direct summation over separated pairs."""
+    """w(S, S-bar): direct summation over separated pairs.
+
+    The rows summed are those of the side holding vertex 0, as the oracle lays
+    cuts out, so a cut and its complement weigh the same, bit for bit.
+    """
     check_cut(inst, cut)
-    s = cut.side
+    s = cut.side if cut.side[0] else ~cut.side
     return float(inst.weights[np.ix_(s, ~s)].sum())
 
 
@@ -169,28 +181,39 @@ def cut_weights_for_sides(weights: np.ndarray, sides: np.ndarray) -> np.ndarray:
     return (weights.sum() - quad) / 4.0
 
 
-def heaviest_side(inst: Instance, sides: np.ndarray) -> tuple[int, float]:
-    """Index and ``cut_weight`` of the first column of ``sides`` whose cut is heaviest.
+def heaviest_side(inst: Instance,
+                  blocks: Iterable[np.ndarray]) -> tuple[int, np.ndarray, float] | None:
+    """Index, side and ``cut_weight`` of the first heaviest cut among candidate sides.
 
-    ``sides`` is an (n, k) boolean block of valid cuts, scored at once with
-    ``cut_weights_for_sides``.  That score and ``cut_weight`` each lie within
-    (n^2 + n + 1) eps/2 * w(V, V) of the exact cut weight, so they differ by at
-    most half of ``margin``, and only a column scoring within ``margin`` of the
-    best score can be the heaviest by ``cut_weight``.  Those columns are weighed
-    with ``cut_weight``, each distinct one once, and the first maximum wins.
+    ``blocks`` is an iterable of (n, k) boolean blocks whose columns are side
+    vectors, indexed as one sequence across the blocks.  One-sided columns are
+    no cut and are skipped; None is returned when every column is one-sided.
+    Each block is scored at once with ``cut_weights_for_sides``.  That score and
+    ``cut_weight`` each lie within (n^2 + n + 1) eps/2 * w(V, V) of the exact cut
+    weight, so they differ by at most half of ``margin``, and only a column
+    scoring within ``margin`` of the best score so far can be the heaviest by
+    ``cut_weight``.  Those columns are weighed with ``cut_weight``, each distinct
+    cut once, and the first maximum wins.
     """
     W = inst.weights
     margin = 2.0 * (inst.n ** 2 + inst.n + 1) * np.finfo(float).eps * float(W.sum())
-    scores = cut_weights_for_sides(W, sides)
-    best, best_w, seen = -1, -np.inf, set()
-    for j in np.flatnonzero(scores >= scores.max() - margin).tolist():
-        key = sides[:, j].tobytes()
-        if key not in seen:  # a repeat weighs what its first copy did, and cannot win
-            seen.add(key)
-            w = cut_weight(inst, Cut(sides[:, j]))
-            if w > best_w:
-                best, best_w = j, w
-    return best, best_w
+    best, top, seen, offset = None, -np.inf, set(), 0
+    for sides in blocks:
+        counts = sides.sum(axis=0)
+        valid = np.flatnonzero((counts > 0) & (counts < inst.n))
+        if valid.size:
+            scores = cut_weights_for_sides(W, sides[:, valid])
+            top = max(top, float(scores.max()))
+            for j in valid[scores >= top - margin].tolist():
+                side = sides[:, j]
+                key = (side if side[0] else ~side).tobytes()
+                if key not in seen:  # a repeat or a complement weighs what its first copy did
+                    seen.add(key)
+                    w = cut_weight(inst, Cut(side))
+                    if best is None or w > best[2]:
+                        best = (offset + j, side.copy(), w)
+        offset += sides.shape[1]
+    return best
 
 
 def contract(weights: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +313,8 @@ def instance_from_json(doc: dict) -> Instance:
     offending entry in file order, by the first check it fails: shape
     [i, j, w], then types, then the vertex pair (in range, not a self-loop),
     then a pair listed before, then a finite weight.  A document with fewer
-    than n - 1 entries is rejected before the n x n matrix is allocated.
+    than n - 1 entries, or with n above LOAD_MAX_N, is rejected before the
+    n x n matrix is allocated.
     """
     n = doc.get("n") if isinstance(doc, dict) else None
     if type(n) is not int or n < 2 or type(doc.get("weights")) is not list:
@@ -333,6 +357,8 @@ def instance_from_json(doc: dict) -> Instance:
         if (w < 0).any() or not np.isfinite(total):
             raise InvalidInstanceError(_NOT_NONNEGATIVE)
         raise InvalidInstanceError(_NOT_CONNECTED)
+    if n > LOAD_MAX_N:
+        raise SizeLimitError(f"instance files are capped at n <= {LOAD_MAX_N}, got {n}")
     W = np.zeros((n, n))
     W[lo, hi] = w
     W[hi, lo] = w

@@ -124,14 +124,9 @@ def ball_enumeration_solve(inst: Instance) -> Cut:
     """
     _require_metric(inst)
     balls = enumerate_balls(inst)
-    best_w = -math.inf
-    best = None
-    for start in range(0, len(balls), inst.n):
-        block = balls[start:start + inst.n]
-        j, w = heaviest_side(inst, block.T)
-        if w > best_w:
-            best_w, best = w, block[j]
-    return Cut(best)
+    blocks = (balls[start:start + inst.n].T for start in range(0, len(balls), inst.n))
+    _, side, _ = heaviest_side(inst, blocks)
+    return Cut(side)
 
 
 @dataclass(frozen=True)

@@ -417,10 +417,10 @@ class GwRounding:
 def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 32) -> GwRounding:
     """Round solved vectors through uniformly random hyperplanes.
 
-    Each trial samples a direction v and takes S = {i : <v, v_i> > 0}; trials
-    whose sign pattern is one-sided (an exactly zero projection among them)
-    yield no candidate.  The valid sides go to ``heaviest_side``, and the
-    first trial to reach the heaviest cut gives the projection.
+    Each trial samples a direction v and takes S = {i : <v, v_i> > 0}.  The
+    sides go to ``heaviest_side``, which skips one-sided patterns (an exactly
+    zero projection among them), and the first trial to reach the heaviest
+    cut gives the projection.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -428,16 +428,12 @@ def gw_round(inst: Instance, vectors: np.ndarray, seed: int = 0, trials: int = 3
     if V.ndim != 2 or V.shape[0] != inst.n:
         raise ParameterError("vectors must be (n, r)")
     rng = np.random.default_rng(seed)
-    projections = []
-    for _ in range(trials):
-        u = V @ rng.normal(size=V.shape[1])
-        if 0 < np.count_nonzero(u > 0.0) < inst.n:
-            projections.append(u)
-    if not projections:
+    projections = [V @ rng.normal(size=V.shape[1]) for _ in range(trials)]
+    hit = heaviest_side(inst, [np.array(projections).T > 0.0])
+    if hit is None:
         raise SolverFailure("every rounding trial produced a one-sided pattern")
-    sides = np.array(projections).T > 0.0
-    j, w = heaviest_side(inst, sides)
-    return GwRounding(cut=Cut(sides[:, j]), weight=w, projection=projections[j])
+    j, side, w = hit
+    return GwRounding(cut=Cut(side), weight=w, projection=projections[j])
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ def spanning_tree_solve(inst: Instance, seed: int, repetitions: int = 1) -> Cut:
     edge with probability proportional to its weight, using one uniform
     from its own child stream of the seed per step.  The two-level draw of
     ``_grow_trees`` equals ``choice`` over the row-major flattened boundary
-    with that uniform.  Repetitions run TREE_BLOCK at a time, and each block
-    goes to ``heaviest_side``; the first heaviest cut wins.  At most
+    with that uniform.  Repetitions run TREE_BLOCK at a time, and the blocks
+    go to ``heaviest_side``; the first heaviest cut wins.  At most
     MAX_TREE_REPETITIONS repetitions are accepted (ParameterError above).
     """
     if repetitions < 1:
@@ -290,16 +290,15 @@ def spanning_tree_solve(inst: Instance, seed: int, repetitions: int = 1) -> Cut:
         raise ParameterError(
             f"repetitions={repetitions} exceeds the cap of {MAX_TREE_REPETITIONS}")
     streams = np.random.SeedSequence(seed)  # spawning in blocks yields the same children
-    best_w = -INF
-    best = None
-    for start in range(0, repetitions, TREE_BLOCK):
-        block = streams.spawn(min(TREE_BLOCK, repetitions - start))
-        # random(n - 1) yields the uniforms that n - 1 calls of choice(p=...) consume
-        U = np.array([np.random.default_rng(ss).random(inst.n - 1) for ss in block]).T
-        colors = _grow_trees(inst.weights, U)
-        if repetitions == 1:
-            return Cut(colors[0])  # one candidate needs no weight
-        j, w = heaviest_side(inst, colors.T)
-        if w > best_w:
-            best_w, best = w, colors[j]
-    return Cut(best)
+
+    def blocks():
+        for start in range(0, repetitions, TREE_BLOCK):
+            block = streams.spawn(min(TREE_BLOCK, repetitions - start))
+            # random(n - 1) yields the uniforms that n - 1 calls of choice(p=...) consume
+            U = np.array([np.random.default_rng(ss).random(inst.n - 1) for ss in block]).T
+            yield _grow_trees(inst.weights, U).T
+
+    if repetitions == 1:
+        return Cut(next(blocks())[:, 0])  # one candidate needs no weight
+    _, side, _ = heaviest_side(inst, blocks())
+    return Cut(side)

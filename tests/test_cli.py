@@ -13,6 +13,7 @@ import stablecut as sc
 from stablecut import acceptance, cli, stable
 from stablecut.cli import main
 from stablecut.errors import PreconditionError
+from stablecut.instance import LOAD_MAX_N
 from stablecut.oracle import subset_scan_minima
 
 
@@ -209,6 +210,19 @@ def test_too_few_entries_to_connect_exit_2_before_allocating(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "positive-weight support graph must be connected"
+
+
+def test_instance_above_the_load_cap_exits_2_before_allocating(tmp_path, capsys):
+    # a path on 100,000 vertices is a valid document whose n x n matrix would
+    # fail its allocation; the loader refuses it as too large, with exit 2, not 1
+    n = 100_000
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": n, "weights": [[i, i + 1, 1.0] for i in range(n - 1)]}))
+    code = main(["solve", str(path), "--algo", "brute"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"instance files are capped at n <= {LOAD_MAX_N}, got {n}",
+                               "kind": "SizeLimitError"}
 
 
 def test_weights_whose_total_overflows_exit_2(tmp_path, capsys):
@@ -466,7 +480,7 @@ def test_spectral_outputs_on_float_weights_are_pinned(tmp_path, capsys):
         except PreconditionError:
             perturbed = b"not bipolar"
         h.update(certify.encode() + solve.replace(path, name).encode() + perturbed)
-    assert h.hexdigest() == "397f64a08ac9e8c5e9901c8b4441954ca0bc87c4938ce80f9c14def221a85173"
+    assert h.hexdigest() == "22166ba80a773d9a8a65e702a826359c8ff203a1e8ccbb5d042ddbd89585f8d3"
 
 
 # every command of the CLI once: gen for each family, solve for each algorithm

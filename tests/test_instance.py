@@ -130,21 +130,31 @@ def test_flipping_a_subset_costs_xi_minus_iota():
 
 
 def test_cut_weight_complement_invariance():
+    # a cut and its complement weigh the same bytes, on float weights of every
+    # generator family, where summing S's rows or S-bar's rows can differ in the last bit
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        inst = random_instance(rng, 6)
-        cut = random_cut(rng, 6)
-        assert sc.cut_weight(inst, cut) == pytest.approx(
-            sc.cut_weight(inst, cut.complement()), rel=1e-15)
+    instances = [random_instance(rng, 6) for _ in range(10)]
+    for s in range(10):
+        instances += [sc.gen_stable_bipartite_noise(14, 2.0, s).instance,
+                      sc.gen_planted_partition(12, 0.6, 0.3, s).instance,
+                      sc.gen_euclidean_metric(12, 2, 2.0, s).instance,
+                      sc.gen_tightness_example(2 + s % 3).instance,
+                      sc.gen_matching_epsilon(6, float(rng.uniform(0.0, 1.0))),
+                      sc.gen_infinite_stable_not_distinguished(4 + s % 3, 1e-3 * (1 + s)).instance]
+    for inst in instances:
+        for _ in range(10):
+            cut = random_cut(rng, inst.n)
+            assert sc.cut_weight(inst, cut).hex() == sc.cut_weight(inst, cut.complement()).hex()
 
 
 def _ref_heaviest_side(inst, sides):
-    """Weigh every column with cut_weight; the first maximum wins."""
+    """Weigh every column that is a cut with cut_weight; the first maximum wins."""
     best, best_w = -1, -np.inf
     for j in range(sides.shape[1]):
-        w = sc.cut_weight(inst, sc.Cut(sides[:, j]))
-        if w > best_w:
-            best, best_w = j, w
+        if 0 < sides[:, j].sum() < inst.n:
+            w = sc.cut_weight(inst, sc.Cut(sides[:, j]))
+            if w > best_w:
+                best, best_w = j, w
     return best, best_w
 
 
@@ -188,16 +198,34 @@ def test_heaviest_side_matches_weighing_every_column():
             eps = float(rng.choice([0.1, 0.3, 1 / 3, 0.7, 1e-3, rng.uniform(0.0, 1.0)]))
             cases.append((sc.gen_matching_epsilon(n_pairs, eps), _matching_block(rng, n_pairs, 64)))
 
-    repeats = near_ties = 0
+    for _ in range(20):  # one-sided columns among the cuts
+        n = int(rng.integers(2, 12))
+        sides = _side_block(rng, n, int(rng.integers(1, 20)))
+        at = rng.integers(0, sides.shape[1] + 1, size=int(rng.integers(1, 6)))
+        cases.append((random_instance(rng, n), np.insert(sides, at, rng.random() < 0.5, axis=1)))
+
+    repeats = near_ties = one_sided = 0
     for k, (inst, sides) in enumerate(cases):
-        j, w = heaviest_side(inst, sides)
+        j, side, w = heaviest_side(inst, [sides])
         want_j, want_w = _ref_heaviest_side(inst, sides)
         assert j == want_j and np.float64(w).tobytes() == np.float64(want_w).tobytes(), k
+        assert np.array_equal(side, sides[:, want_j]), k
+        # the same pick when the columns arrive in several blocks, some of them empty
+        cuts = np.sort(rng.integers(0, sides.shape[1] + 1, size=int(rng.integers(1, 5))))
+        split = heaviest_side(inst, np.split(sides, cuts, axis=1))
+        assert split[0] == j and split[1].tobytes() == side.tobytes(), k
+        assert np.float64(split[2]).tobytes() == np.float64(w).tobytes(), k
+        counts = sides.sum(axis=0)
+        one_sided += ((counts == 0) | (counts == inst.n)).any()
         scores = cut_weights_for_sides(inst.weights, sides)
         near_ties += scores[want_j] < scores.max()
         repeats += len({sides[:, c].tobytes() for c in range(sides.shape[1])}) < sides.shape[1]
     # the best quadratic score is often not the heaviest cut by cut_weight
-    assert near_ties >= 10 and repeats >= 40
+    assert near_ties >= 10 and repeats >= 40 and one_sided >= 10
+    # no column is a cut
+    inst = random_instance(rng, 6)
+    assert heaviest_side(inst, [np.zeros((6, 3), dtype=bool), np.ones((6, 2), dtype=bool)]) is None
+    assert heaviest_side(inst, []) is None
 
 
 def test_contract_examples(c4, k3):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import stablecut as sc
-from stablecut.dense import (DenseSolverConfig, _best_valid, _partition_chunks, draw_samples,
-                             induced_side_matrix)
+from stablecut.dense import DenseSolverConfig, _partition_chunks, draw_samples, induced_side_matrix
 from stablecut.errors import ParameterError, PreconditionError, SolverFailure, StableCutError
+from stablecut.instance import heaviest_side
 from stablecut.metric import FLOOR_EPS, enumerate_balls
 
 
@@ -180,18 +180,18 @@ def _split_vote_solve(inst, cfg):
         if cfg.seed_cut.n != inst.n:
             raise ParameterError("cut size mismatch")
         sample_sides = cfg.seed_cut.side[pi[samples]]
-    best_side, best_w = None, -np.inf
-    for r_masks in _partition_chunks(cfg, samples, sample_sides):
-        split_sides = induced_side_matrix(W, samples, r_masks)
-        fiber_votes = np.zeros((inst.n, split_sides.shape[1]))
-        np.add.at(fiber_votes, pi, split_sides.astype(np.float64))
-        repaired = 2.0 * fiber_votes >= mult[:, None]
-        hit = _best_valid(inst.weights, repaired)
-        if hit is not None and hit[1] > best_w:
-            best_side, best_w = repaired[:, hit[0]].copy(), hit[1]
-    if best_side is None:
+
+    def repaired():
+        for r_masks in _partition_chunks(cfg, samples, sample_sides):
+            split_sides = induced_side_matrix(W, samples, r_masks)
+            fiber_votes = np.zeros((inst.n, split_sides.shape[1]))
+            np.add.at(fiber_votes, pi, split_sides.astype(np.float64))
+            yield 2.0 * fiber_votes >= mult[:, None]
+
+    hit = heaviest_side(inst, repaired())
+    if hit is None:
         raise SolverFailure("every sample partition induced a degenerate cut")
-    return sc.Cut(best_side)
+    return sc.Cut(hit[1])
 
 
 def _outcome(solve, inst, cfg):
