@@ -45,11 +45,11 @@ from .oracle import (
 from .spectral import (
     bipolarity_check,
     build_spectral_bundle,
+    distinguished_condition,
     glev_cut,
     gw_dual_extract,
     gw_primal_solve,
     psd_rank_certificate,
-    spectral_threshold,
     strongly_bipolar_perturb,
     weight_scale,
 )
@@ -444,20 +444,17 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     ok = True
     for inst in _certificate_pool(seed):
         cut, _, _ = brute_force_maxcut(inst)
-        bundle = build_spectral_bundle(inst, cut)
-        gl = local_stability_gamma(inst, cut)
-        _, _, h_cut = subset_scan_minima(bundle.cut_part, None)
-        threshold = spectral_threshold(h_cut)
-        if gl > threshold * (1.0 + 1e-6):
+        dist = distinguished_condition(inst, cut)
+        if dist.gamma_local > dist.cheeger_threshold * (1.0 + 1e-6):
             qualified += 1
+            bundle = build_spectral_bundle(inst, cut)
             ok = (ok and psd_rank_certificate(bundle) == "certified"
                   and same_bipartition(glev_cut(inst, bundle.shift), cut))
 
     c4, c4_cut = _c4()
     bundle = build_spectral_bundle(c4, c4_cut)
     spectrum_ok = bool(np.abs(bundle.eigenvalues - np.array([0.0, 2.0, 2.0, 4.0])).max() <= 1e-8)
-    _, _, h = subset_scan_minima(bundle.cut_part, None)
-    thr = spectral_threshold(h)
+    thr = distinguished_condition(c4, c4_cut).cheeger_threshold
     thr_ok = abs(thr - 14.928203230275509) <= 1e-8
     ok = ok and spectrum_ok and thr_ok and psd_rank_certificate(bundle) == "certified"
     return CriterionResult(8, "spectral PSD rank certificate", ok,
@@ -566,8 +563,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     ok = ok and not bipolarity_check(k3, k3_cut, seed=seed).bipolar
 
     strong = strongly_bipolar_perturb(c4, c4_cut, 0.1)
-    sb = build_spectral_bundle(strong, c4_cut)
-    ok = ok and sb.eigenvalues[1] > sb.tol
+    ok = ok and psd_rank_certificate(build_spectral_bundle(strong, c4_cut)) == "certified"
     target = np.outer(c4_cut.delta, c4_cut.delta)
     for s in range(5):
         g = gw_primal_solve(strong, seed=seed + s)

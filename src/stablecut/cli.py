@@ -51,7 +51,6 @@ from .spectral import (
     gw_primal_solve,
     gw_round,
     psd_rank_certificate,
-    weight_scale,
 )
 from .stable import (
     default_tree_repetitions,
@@ -82,8 +81,10 @@ def _jsonable(value):
     return value
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(_jsonable(doc), indent=2))
+def _emit(doc: dict, fh) -> None:
+    """Write ``doc`` to ``fh`` as indented JSON and a newline: the one encoding of
+    every document the CLI writes, to stdout or to a file."""
+    print(json.dumps(_jsonable(doc), indent=2), file=fh)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +113,12 @@ def _cmd_gen(args) -> int:
     sidecar_path = args.sidecar or args.output + ".planted.json"
     summary = {"family": fam, "n": inst.n, "output": args.output}
     if planted is not None:
-        sidecar = {"planted_cut": cut_to_json(planted.planted_cut),
-                   "claims": planted.claims}
         with open(sidecar_path, "w") as fh:
-            json.dump(_jsonable(sidecar), fh, indent=2)
-            fh.write("\n")
+            _emit({"planted_cut": cut_to_json(planted.planted_cut),
+                   "claims": planted.claims}, fh)
         summary["sidecar"] = sidecar_path
         summary["claims"] = planted.claims
-    _emit(summary)
+    _emit(summary, sys.stdout)
     return 0
 
 
@@ -195,7 +194,7 @@ def _cmd_solve(args) -> int:
         report["matched_oracle"] = same_bipartition(cut, opt)
     if args.cut_out:
         save_cut(cut, args.cut_out)
-    _emit(report)
+    _emit(report, sys.stdout)
     return 0
 
 
@@ -223,7 +222,7 @@ def _cmd_verify(args) -> int:
         "is_unique_maxcut": count == 1,
         "cut": cut_to_json(cut),
         "cut_weight": weight,
-    })
+    }, sys.stdout)
     return 0
 
 
@@ -246,7 +245,7 @@ def _cmd_certify(args) -> int:
         "bipolarity_agree": bipolar.agree,
         "relaxation_primal": bipolar.primal_value,
         "binary_value": bipolar.binary_value,
-    })
+    }, sys.stdout)
     return 0
 
 
@@ -257,12 +256,9 @@ def _cmd_split(args) -> int:
     save_instance(smap.split, args.output)
     if args.map:
         with open(args.map, "w") as fh:
-            json.dump(_jsonable({"scale": scale,
-                                 "multiplicity": smap.multiplicity,
-                                 "pi": smap.pi}), fh, indent=2)
-            fh.write("\n")
+            _emit({"scale": scale, "multiplicity": smap.multiplicity, "pi": smap.pi}, fh)
     _emit({"input_n": inst.n, "split_n": smap.split.n, "scale": scale,
-           "output": args.output, "map": args.map})
+           "output": args.output, "map": args.map}, sys.stdout)
     return 0
 
 
@@ -316,23 +312,6 @@ def _bench_stability_sweep(seed: int) -> dict:
     return {"suite": "stability-sweep", "seed": seed, "n": n, "rows": rows}
 
 
-def _bench_gw_gap(seed: int) -> dict:
-    from . import acceptance
-    pool = acceptance.gw_pool(seed, 60)
-    worst = 0.0
-    converged = 0
-    for idx, inst in enumerate(pool):
-        sol = gw_primal_solve(inst, seed=seed + idx)
-        if not sol.converged:
-            continue
-        converged += 1
-        ext = gw_dual_extract(inst, sol.gram)
-        worst = max(worst, ext.gap / weight_scale(inst.weights))
-    return {"suite": "gw-gap", "seed": seed, "instances": len(pool),
-            "converged": converged, "worst_gap_over_scale": worst,
-            "all_below_1e-6": worst < 1e-6}
-
-
 def _cmd_bench(args) -> int:
     # acceptance is imported here and in the suites, not at the top, so the
     # other commands never load it
@@ -342,9 +321,7 @@ def _cmd_bench(args) -> int:
         doc = _bench_acceptance(seed)
     elif args.suite == "stability-sweep":
         doc = _bench_stability_sweep(seed)
-    elif args.suite == "gw-gap":
-        doc = _bench_gw_gap(seed)
-    _emit(doc)
+    _emit(doc, sys.stdout)
     return 0
 
 
@@ -418,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark suites")
     p.add_argument("--suite", required=True,
-                   choices=["acceptance", "stability-sweep", "gw-gap"])
+                   choices=["acceptance", "stability-sweep"])
     p.add_argument("--seed", type=int, help="defaults to the acceptance battery's DEFAULT_SEED")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -131,8 +131,8 @@ def gen_euclidean_metric(n: int, dim: int, separation: float, seed: int) -> Plan
         raise ParameterError("need an even n >= 2")
     if dim < 1:
         raise ParameterError("dim must be >= 1")
-    if separation <= 0.0:
-        raise ParameterError("separation must be positive")
+    if not 0.0 < separation < INF:  # NaN fails both comparisons
+        raise ParameterError("separation must be finite and positive")
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, dim))
     pts[n // 2:, 0] += separation

@@ -298,7 +298,5 @@ def spanning_tree_solve(inst: Instance, seed: int, repetitions: int = 1) -> Cut:
             U = np.array([np.random.default_rng(ss).random(inst.n - 1) for ss in block]).T
             yield _grow_trees(inst.weights, U).T
 
-    if repetitions == 1:
-        return Cut(next(blocks())[:, 0])  # one candidate needs no weight
     _, side, _ = heaviest_side(inst, blocks())
     return Cut(side)

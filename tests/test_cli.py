@@ -269,6 +269,18 @@ def test_spanning_tree_with_nan_gamma_exits_2(tmp_path, capsys):
     assert json.loads(err) == {"error": "gamma must be >= 1", "kind": "ParameterError"}
 
 
+@pytest.mark.parametrize("sep", ["nan", "inf"])
+def test_gen_euclidean_with_a_separation_that_is_not_finite_exits_2(tmp_path, capsys, sep):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the error line
+        code = main(["gen", "euclidean", "--n", "4", "--sep", sep, "--seed", "1",
+                     "-o", str(tmp_path / "e.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "separation must be finite and positive",
+                               "kind": "ParameterError"}
+
+
 @pytest.mark.parametrize("argv", [
     ("--C", "inf", "--eps", "0.1"),
     ("--C", "1e200", "--eps", "1"),  # the sample size overflows float
@@ -393,9 +405,10 @@ def test_options_do_not_carry_between_calls(tmp_path, capsys):
 
 
 def test_bench_unknown_suite_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "--suite", "nope"])
-    assert err.value.code == 2
+    for suite in ("nope", "gw-gap"):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", suite])
+        assert err.value.code == 2
 
 
 def test_bench_stability_sweep_output_is_pinned(capsys):
@@ -407,22 +420,6 @@ def test_bench_stability_sweep_output_is_pinned(capsys):
     # byte-identical to the output of the one-tree-at-a-time sampler
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5630fe4602167fe5b41eb47a02c156d6e023b71164619e40db54d1f886b3c163")
-
-
-def test_bench_gw_gap_output_is_pinned(capsys):
-    code, out = run(capsys, "bench", "--suite", "gw-gap", "--seed", "1")
-    assert code == 0
-    assert json.loads(out)["converged"] == 60
-    # byte-identical to the output of the row loop that allocated per row
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a9c1ba7ab2efaa28eed9c86a79633798605f019a78de3953dbfa4febbe6085ac")
-
-
-def test_bench_gw_gap(capsys):
-    code, out = run(capsys, "bench", "--suite", "gw-gap", "--seed", "5")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["all_below_1e-6"] is True and doc["converged"] > 0
 
 
 def test_bench_seed_defaults_to_the_acceptance_seed(capsys, monkeypatch):
@@ -515,3 +512,14 @@ def test_cli_outputs_match_a_golden_digest(tmp_path, capsys, monkeypatch):
         code, out = run(capsys, *argv)
         h.update(f"{code}\n{out}".encode())
     assert h.hexdigest() == "d51f3b39f0bfb6f5aaa60317a8e1327ac68f247e96160266a258c65af3e82788"
+
+
+def test_cli_written_files_match_a_golden_digest(tmp_path, capsys, monkeypatch):
+    # the instances, sidecars, cut-out, split instance and map the golden argvs write
+    monkeypatch.chdir(tmp_path)
+    for argv in GOLDEN_ARGVS:
+        assert run(capsys, *argv)[0] == 0
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(f"{path.name}\n".encode() + path.read_bytes())
+    assert h.hexdigest() == "c12aa39d310ce5c878c64b92669a18ffa165414557adb1bd8b903ffb50082a05"

@@ -91,6 +91,12 @@ def test_euclidean_metric():
         sc.gen_euclidean_metric(5, 1, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("separation", [0.0, -1.0, float("nan"), INF, -INF])
+def test_euclidean_metric_rejects_a_separation_that_is_not_finite_and_positive(separation):
+    with pytest.raises(ParameterError, match="^separation must be finite and positive$"):
+        sc.gen_euclidean_metric(4, 1, separation, seed=1)
+
+
 def test_stable_bipartite_noise_rejects_nan_gamma():
     # NaN fails every comparison, so it must not reach the exhaustive scans
     with pytest.raises(ParameterError, match="^gamma_target must be >= 1$"):

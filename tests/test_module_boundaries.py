@@ -54,6 +54,32 @@ def test_no_cross_module_private_uses():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names a module binds by import and never reads; __future__ imports bind none."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_checker_flags_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import json\nimport os.path\nimport numpy as np\n"
+              "from .spectral import spectral_threshold, weight_scale as scale\n"
+              "def f(x: np.ndarray):\n    return scale(os.path.sep)\n")
+    assert unused_imports(source) == ["json", "spectral_threshold"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]  # it re-exports
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(paths)}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def _public_functions():
     for path in sorted(PACKAGE.glob("[!_]*.py")):  # __main__ would run the CLI
         module = importlib.import_module(f"stablecut.{path.stem}")
