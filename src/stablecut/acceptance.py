@@ -99,41 +99,36 @@ def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_UNSEEDED = (gen_matching_epsilon, gen_tightness_example, gen_infinite_stable_not_distinguished)
+
+
+def _draw(gen, options, k: int, seed: int) -> tuple[Instance, Cut | None]:
+    """(instance, planted cut or None) of ``gen`` called with entry k of each option
+    tuple, each cycling on its own length, then with ``seed`` unless ``gen`` takes none."""
+    args = [opt[k % len(opt)] for opt in options]
+    drawn = gen(*args) if gen in _UNSEEDED else gen(*args, seed)
+    return (drawn, None) if isinstance(drawn, Instance) else (drawn.instance, drawn.planted_cut)
+
+
+# family -> (generator, option tuples).  Instance i draws entry i of each tuple,
+# so tuples of one length stay locked together.
+_FAMILY_OPTIONS = {
+    "planted-partition": (gen_planted_partition,
+                          ((6, 8, 10, 12, 14), (0.85, 0.9, 1.0), (0.1, 0.2, 0.0))),
+    "stable-bipartite-noise": (gen_stable_bipartite_noise,
+                               ((6, 8, 10, 12, 14), (1.0, 2.0, 4.0, 8.0, INF))),
+    "matching-eps": (gen_matching_epsilon, ((2, 3, 4, 5, 6, 7), (1e-3, 0.1, 0.5))),
+    "tightness": (gen_tightness_example, ((2, 3),)),
+    "euclidean": (gen_euclidean_metric, ((4, 6, 8, 10, 12), (1, 2, 3), (0.5, 2.0, 8.0))),
+}
+
+FAMILIES = tuple(_FAMILY_OPTIONS)
+
+
 def _family_pool(family: str, count: int, seed: int):
     """Deterministic stream of (instance, planted-cut-or-None) for one family, n <= 14."""
-    sizes = (6, 8, 10, 12, 14)
-    out = []
-    for i in range(count):
-        s = seed * 1_000_003 + i
-        if family == "planted-partition":
-            n = sizes[i % len(sizes)]
-            p, q = [(0.85, 0.1), (0.9, 0.2), (1.0, 0.0)][i % 3]
-            planted = gen_planted_partition(n, p, q, s)
-            out.append((planted.instance, planted.planted_cut))
-        elif family == "stable-bipartite-noise":
-            n = sizes[i % len(sizes)]
-            g = [1.0, 2.0, 4.0, 8.0, INF][i % 5]
-            planted = gen_stable_bipartite_noise(n, g, s)
-            out.append((planted.instance, planted.planted_cut))
-        elif family == "matching-eps":
-            pairs = 2 + i % 6
-            eps = [1e-3, 0.1, 0.5][i % 3]
-            out.append((gen_matching_epsilon(pairs, eps), None))
-        elif family == "tightness":
-            pairs = 2 + i % 2
-            planted = gen_tightness_example(pairs)
-            out.append((planted.instance, planted.planted_cut))
-        elif family == "euclidean":
-            n = sizes[i % len(sizes)] - 2
-            dim = 1 + i % 3
-            sep = [0.5, 2.0, 8.0][i % 3]
-            planted = gen_euclidean_metric(n, dim, sep, s)
-            out.append((planted.instance, planted.planted_cut))
-    return out
-
-
-FAMILIES = ("planted-partition", "stable-bipartite-noise", "matching-eps",
-            "tightness", "euclidean")
+    gen, options = _FAMILY_OPTIONS[family]
+    return [_draw(gen, options, i, seed * 1_000_003 + i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +229,18 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+_SPLIT_OPTIONS = ((4, 6, 8, 10, 12), (1, 2, 3), (0.5, 2.0, 6.0))
+
+
+def _split_pool(seed: int) -> list[Instance]:
+    """98 Euclidean instances drawn with seed * 31 + i, then both tightness examples."""
+    pool = [_draw(gen_euclidean_metric, _SPLIT_OPTIONS, i, seed * 31 + i) for i in range(98)]
+    return [inst for inst, _ in pool + _family_pool("tightness", 2, seed)]
+
+
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Weight/local-stability preservation and density of the split instance."""
-    count = 100
-    instances = []
-    i = 0
-    while len(instances) < count - 2:
-        n = (4, 6, 8, 10, 12)[i % 5]
-        instances.append(gen_euclidean_metric(n, 1 + i % 3, (0.5, 2.0, 6.0)[i % 3],
-                                              seed * 31 + i).instance)
-        i += 1
-    instances.append(gen_tightness_example(2).instance)
-    instances.append(gen_tightness_example(3).instance)
-
+    instances = _split_pool(seed)
     ok = True
     worst_weight_err = 0.0
     for inst in instances:
@@ -280,6 +274,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 BALL_POOL_SIZE = 100
+_BALL_OPTIONS = ((4, 6, 8, 10, 12), (1, 2, 3), (6.0, 10.0, 20.0))
 
 
 @functools.lru_cache(maxsize=1)
@@ -291,13 +286,12 @@ def _ball_pool(seed: int) -> tuple:
     pool = []
     i = 0
     while len(pool) < BALL_POOL_SIZE and i < 10 * BALL_POOL_SIZE:
-        n = (4, 6, 8, 10, 12)[i % 5]
-        planted = gen_euclidean_metric(n, 1 + i % 3, (6.0, 10.0, 20.0)[i % 3], seed * 17 + i)
+        inst, _ = _draw(gen_euclidean_metric, _BALL_OPTIONS, i, seed * 17 + i)
         i += 1
-        cut, w, cnt = brute_force_maxcut(planted.instance)
-        gl = local_stability_gamma(planted.instance, cut)
+        cut, w, cnt = brute_force_maxcut(inst)
+        gl = local_stability_gamma(inst, cut)
         if cnt == 1 and gl > 3.0 + 1e-9:
-            pool.append((planted.instance, cut, w, gl))
+            pool.append((inst, cut, w, gl))
     return tuple(pool)
 
 
@@ -417,18 +411,19 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _certificate_pool(seed: int):
-    pool = []
-    for i in range(40):
-        s = seed * 37 + i
-        n14 = (6, 10, 14, 16)[i % 4]
-        pool.append(gen_stable_bipartite_noise(n14, (2.0, 8.0, 20.0, INF)[i % 4], s).instance)
-        pool.append(gen_planted_partition(n14, (0.9, 1.0)[i % 2], (0.15, 0.0)[i % 2], s).instance)
-        pool.append(gen_euclidean_metric(n14 - 2, 1 + i % 3, (2.0, 30.0)[i % 2], s).instance)
-        if i % 4 == 0:
-            pool.append(gen_matching_epsilon(2 + i % 5, 1e-3))
-            pool.append(gen_infinite_stable_not_distinguished(2 + i % 6, 1e-3).instance)
-    return pool
+# index i draws every kind at entry i, the last two only when i % 4 == 0
+_CERTIFICATE_KINDS = (
+    (gen_stable_bipartite_noise, ((6, 10, 14, 16), (2.0, 8.0, 20.0, INF))),
+    (gen_planted_partition, ((6, 10, 14, 16), (0.9, 1.0), (0.15, 0.0))),
+    (gen_euclidean_metric, ((4, 8, 12, 14), (1, 2, 3), (2.0, 30.0))),
+    (gen_matching_epsilon, ((2, 3, 4, 5, 6), (1e-3,))),
+    (gen_infinite_stable_not_distinguished, ((2, 3, 4, 5, 6, 7), (1e-3,))),
+)
+
+
+def _certificate_pool(seed: int) -> list[Instance]:
+    return [_draw(gen, options, i, seed * 37 + i)[0] for i in range(40)
+            for gen, options in _CERTIFICATE_KINDS[:3 if i % 4 else 5]]
 
 
 def _c4() -> tuple[Instance, Cut]:
@@ -467,29 +462,20 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def gw_pool(seed: int, count: int):
-    """Instances cycling through every family, n <= 16.
+_GW_KINDS = (
+    (gen_stable_bipartite_noise, ((6, 14), (2.0, 20.0))),
+    (gen_planted_partition, ((10, 16), (0.9,), (0.2,))),
+    (gen_euclidean_metric, ((12, 4), (3,), (2.0,))),
+    (gen_matching_epsilon, ((5, 3), (0.3,))),
+    (gen_infinite_stable_not_distinguished, ((6,), (1e-3,))),
+    (gen_tightness_example, ((4,),)),
+)
 
-    Instance i is of family i % 6, drawn with seed seed * 41 + i; the first
-    four families alternate between two configurations with (i // 6) % 2.
-    """
-    pool = []
-    for i in range(count):
-        s, j = seed * 41 + i, (i // 6) % 2
-        kind = i % 6
-        if kind == 0:
-            pool.append(gen_stable_bipartite_noise((6, 14)[j], (2.0, 20.0)[j], s).instance)
-        elif kind == 1:
-            pool.append(gen_planted_partition((10, 16)[j], 0.9, 0.2, s).instance)
-        elif kind == 2:
-            pool.append(gen_euclidean_metric((12, 4)[j], 3, 2.0, s).instance)
-        elif kind == 3:
-            pool.append(gen_matching_epsilon((5, 3)[j], 0.3))
-        elif kind == 4:
-            pool.append(gen_infinite_stable_not_distinguished(6, 1e-3).instance)
-        else:
-            pool.append(gen_tightness_example(4).instance)
-    return pool
+
+def gw_pool(seed: int, count: int) -> list[Instance]:
+    """Instances cycling through every family, n <= 16: instance i is of kind
+    i % 6 at entry i // 6, drawn with seed seed * 41 + i."""
+    return [_draw(*_GW_KINDS[i % 6], i // 6, seed * 41 + i)[0] for i in range(count)]
 
 
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -579,20 +565,24 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+_COUNT_KINDS = (
+    (gen_stable_bipartite_noise, ((8, 10, 12, 14), (1.0,))),
+    (gen_planted_partition, ((8, 10, 12, 14), (0.9,), (0.4,))),
+    (gen_euclidean_metric, ((8, 10, 12, 14), (3,), (2.0,))),
+)
+
+
+def _count_pool(seed: int) -> list[Instance]:
+    """50 dense instances: instance i is of kind i % 3 at entry i, seed seed * 53 + i."""
+    return [_draw(*_COUNT_KINDS[i % 3], i, seed * 53 + i)[0] for i in range(50)]
+
+
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Counts stay inside a polynomial envelope on dense instances; contrast case."""
-    count = 50
+    pool = _count_pool(seed)
     ok = True
     max_ratio = 0.0
-    for i in range(count):
-        s = seed * 53 + i
-        kind = i % 3
-        if kind == 0:
-            inst = gen_stable_bipartite_noise((8, 10, 12, 14)[i % 4], 1.0, s).instance
-        elif kind == 1:
-            inst = gen_planted_partition((8, 10, 12, 14)[i % 4], 0.9, 0.4, s).instance
-        else:
-            inst = gen_euclidean_metric((8, 10, 12, 14)[i % 4], 3, 2.0, s).instance
+    for inst in pool:
         n = inst.n
         cuts = enumerate_locally_stable_cuts(inst, 1.1)
         ok = ok and len(cuts) <= n ** 3
@@ -600,7 +590,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     contrast = len(enumerate_locally_stable_cuts(gen_matching_epsilon(3, 1e-3), 1.1))
     ok = ok and contrast > 2
     return CriterionResult(10, "locally stable cut counts", ok,
-                           {"instances": count, "max_count_over_n3": f"{max_ratio:.4f}",
+                           {"instances": len(pool), "max_count_over_n3": f"{max_ratio:.4f}",
                             "matching_contrast_count": contrast})
 
 

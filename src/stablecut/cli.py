@@ -103,6 +103,8 @@ def _cmd_gen(args) -> int:
     elif fam == "tightness":
         planted = gen_tightness_example(args.pairs)
     elif fam == "matching-eps":
+        if args.sidecar:
+            raise ParameterError("matching-eps has no planted cut to write to --sidecar")
         inst = gen_matching_epsilon(args.pairs, args.eps)
         planted = None
     elif fam == "stable-not-distinguished":

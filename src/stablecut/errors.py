@@ -14,7 +14,7 @@ class InvalidCutError(StableCutError):
 
 
 class SizeLimitError(StableCutError):
-    """An exhaustive scan, or the instance loader, given n above its vertex cap."""
+    """An exhaustive scan, the instance loader or the metric split, given n above its vertex cap."""
 
 
 class ParameterError(StableCutError):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import DenseSolverConfig, best_induced_cut, draw_samples
-from .errors import DegenerateInstanceError, ParameterError, PreconditionError
-from .instance import Cut, Instance, REL_TOL, check_cut, heaviest_side, is_metric
+from .errors import DegenerateInstanceError, ParameterError, PreconditionError, SizeLimitError
+from .instance import Cut, Instance, LOAD_MAX_N, REL_TOL, check_cut, heaviest_side, is_metric
 
 # Absorbs representation error in floor(tau) after floating-point
 # normalization; tau >= n analytically so a one-off cannot occur.
@@ -69,8 +69,11 @@ def _fibers(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def split_instance(inst: Instance) -> SplitMap:
-    """Split a normalized instance into floor(tau(x)) copies per vertex."""
+    """Split a normalized instance into floor(tau(x)) copies per vertex; a split
+    above LOAD_MAX_N vertices, whose file the loader would refuse, raises SizeLimitError."""
     pi, mult, scaled = _fibers(inst)
+    if pi.size > LOAD_MAX_N:
+        raise SizeLimitError(f"the split has {pi.size} vertices, above LOAD_MAX_N = {LOAD_MAX_N}")
     return SplitMap(split=Instance(scaled[np.ix_(pi, pi)]),
                     pi=pi, multiplicity=mult)
 

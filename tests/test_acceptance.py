@@ -5,6 +5,7 @@ lines and measured values.  The same battery is reachable from the command
 line via ``stablecut bench --suite acceptance``.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -129,3 +130,39 @@ def test_gw_pool_matches_the_residue_selectors(seed):
     assert len(pool) == len(reference) == 400
     for inst, ref in zip(pool, reference):
         assert inst.n == ref.n and inst.weights.tobytes() == ref.weights.tobytes()
+
+
+# sha256 prefixes at DEFAULT_SEED of each pool's weight matrices in order, each
+# followed by the sides of the cut the pool keeps with it (planted, or the ball
+# pool's optimum); computed before the pools became option tables
+POOL_DIGESTS = {
+    "planted-partition": "5e89c496edd4e1d1",
+    "stable-bipartite-noise": "4c9bb4ad73898e28",
+    "matching-eps": "83cf45fa2c42fc0e",
+    "tightness": "655f376ae58421dd",
+    "euclidean": "d9adee378f3ddf87",
+    "certificate": "6e0cffd17007e455",
+    "ball": "cd5b2bd15f1ea932",
+    "criterion-3": "ff76d6dcd6c932d5",
+    "criterion-10": "69afc4be888abc17",
+}
+
+
+def _digest(pool):
+    h = hashlib.sha256()
+    for inst, cut in pool:
+        h.update(inst.weights.tobytes())
+        if cut is not None:
+            h.update(cut.side.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_pools_hold_the_instances_pinned_at_the_default_seed():
+    seed = acceptance.DEFAULT_SEED
+    pools = {family: acceptance._family_pool(family, 200, seed + fi)
+             for fi, family in enumerate(acceptance.FAMILIES)}
+    pools["certificate"] = [(inst, None) for inst in acceptance._certificate_pool(seed)]
+    pools["ball"] = [(inst, cut) for inst, cut, _, _ in acceptance._ball_pool(seed)]
+    pools["criterion-3"] = [(inst, None) for inst in acceptance._split_pool(seed)]
+    pools["criterion-10"] = [(inst, None) for inst in acceptance._count_pool(seed)]
+    assert {name: _digest(pool) for name, pool in pools.items()} == POOL_DIGESTS

@@ -63,6 +63,18 @@ def test_gen_every_family(tmp_path, capsys, argv, n):
         assert sc.cut_from_json(json.loads(sidecar.read_text())["planted_cut"]).n == n
 
 
+def test_gen_refuses_a_sidecar_without_a_planted_cut(tmp_path, capsys):
+    # matching-eps has no planted cut: --sidecar is refused before any file is written
+    out_path, side_path = tmp_path / "me.json", tmp_path / "side.json"
+    code = main(["gen", "matching-eps", "--pairs", "3", "--seed", "0", "-o", str(out_path),
+                 "--sidecar", str(side_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "matching-eps has no planted cut to write to --sidecar",
+                               "kind": "ParameterError"}
+    assert not out_path.exists() and not side_path.exists()
+
+
 def test_gen_infinite_gamma_serializes_as_string(tmp_path, capsys):
     out_path = str(tmp_path / "inst.json")
     code, out = run(capsys, "gen", "bipartite-noise", "--n", "8", "--gamma", "inf",
@@ -223,6 +235,19 @@ def test_instance_above_the_load_cap_exits_2_before_allocating(tmp_path, capsys)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": f"instance files are capped at n <= {LOAD_MAX_N}, got {n}",
                                "kind": "SizeLimitError"}
+
+
+def test_split_above_the_load_cap_exits_2_without_writing(tmp_path, capsys):
+    # this 46-point metric splits into 4,207 vertices, a file the loader would refuse
+    inst_path = tmp_path / "eu46.json"
+    sc.save_instance(sc.gen_euclidean_metric(46, 2, 4.0, 1).instance, inst_path)
+    split_path, map_path = tmp_path / "split.json", tmp_path / "map.json"
+    code = main(["split", str(inst_path), "-o", str(split_path), "--map", str(map_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"the split has 4207 vertices, above LOAD_MAX_N = {LOAD_MAX_N}",
+                               "kind": "SizeLimitError"}
+    assert not split_path.exists() and not map_path.exists()
 
 
 def test_weights_whose_total_overflows_exit_2(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 import stablecut as sc
 from stablecut.dense import DenseSolverConfig, _partition_chunks, draw_samples, induced_side_matrix
-from stablecut.errors import ParameterError, PreconditionError, SolverFailure, StableCutError
-from stablecut.instance import heaviest_side
+from stablecut.errors import ParameterError, PreconditionError, SizeLimitError, SolverFailure, StableCutError
+from stablecut.instance import LOAD_MAX_N, heaviest_side
 from stablecut.metric import FLOOR_EPS, enumerate_balls
 
 
@@ -52,6 +52,15 @@ def test_split_density_bound_and_floor():
         assert (smap.multiplicity >= n).all()  # tau >= n on normalized metrics
         assert (smap.split.degrees() >= 1.0 - 1e-9).all()
         assert sc.density_coefficient(smap.split) <= 4.0 / (1 - 1 / n) ** 2 * (1 + 1e-9)
+
+
+def test_split_above_the_load_cap_raises():
+    # sum floor(tau) is 4,207 here, so the split matrix would take 142 MB and its file
+    # would be refused by the loader
+    normalized, _ = sc.normalize_total_weight(sc.gen_euclidean_metric(46, 2, 4.0, 1).instance)
+    assert int(np.floor(normalized.degrees() + FLOOR_EPS).sum()) == 4207 > LOAD_MAX_N
+    with pytest.raises(SizeLimitError, match="the split has 4207 vertices"):
+        sc.split_instance(normalized)
 
 
 def test_lift_preserves_weight_and_local_gamma():
