@@ -43,6 +43,7 @@ from .oracle import (
     brute_force_maxcut,
     local_stability_gamma,
     subset_scan_minima,
+    subset_scan_with_ties,
 )
 from .spectral import (
     bipolarity_check,
@@ -92,23 +93,51 @@ def _emit(doc: dict, fh) -> None:
 # ---------------------------------------------------------------------------
 
 
+# per family, the gen flags it reads and their defaults; None marks a flag it needs
+_GEN_FLAGS = {
+    "planted-partition": {"n": 8, "p": 0.9, "q": 0.1, "seed": None},
+    "bipartite-noise": {"n": 8, "gamma": "4", "seed": None},
+    "euclidean": {"n": 8, "dim": 2, "sep": 4.0, "seed": None},
+    "tightness": {"pairs": 2},
+    "matching-eps": {"pairs": 2, "eps": 1e-3},
+    "stable-not-distinguished": {"pairs": 2, "eps": 1e-3},
+}
+
+
+def _gen_options(args) -> dict:
+    """The flags the family reads, defaults filled in.  A flag given that it
+    does not read, or a needed flag left out, is a ParameterError."""
+    reads = _GEN_FLAGS[args.family]
+    options = dict(reads)
+    for flag in dict.fromkeys(flag for flags in _GEN_FLAGS.values() for flag in flags):
+        value = getattr(args, flag)
+        if value is not None:
+            if flag not in reads:
+                raise ParameterError(f"gen {args.family} does not read --{flag}")
+            options[flag] = value
+    for flag, value in options.items():
+        if value is None:
+            raise ParameterError(f"gen {args.family} needs --{flag}")
+    return options
+
+
 def _cmd_gen(args) -> int:
-    fam = args.family
+    fam, o = args.family, _gen_options(args)
     if fam == "planted-partition":
-        planted = gen_planted_partition(args.n, args.p, args.q, args.seed)
+        planted = gen_planted_partition(o["n"], o["p"], o["q"], o["seed"])
     elif fam == "bipartite-noise":
-        planted = gen_stable_bipartite_noise(args.n, float(args.gamma), args.seed)
+        planted = gen_stable_bipartite_noise(o["n"], float(o["gamma"]), o["seed"])
     elif fam == "euclidean":
-        planted = gen_euclidean_metric(args.n, args.dim, args.sep, args.seed)
+        planted = gen_euclidean_metric(o["n"], o["dim"], o["sep"], o["seed"])
     elif fam == "tightness":
-        planted = gen_tightness_example(args.pairs)
+        planted = gen_tightness_example(o["pairs"])
     elif fam == "matching-eps":
         if args.sidecar:
             raise ParameterError("matching-eps has no planted cut to write to --sidecar")
-        inst = gen_matching_epsilon(args.pairs, args.eps)
+        inst = gen_matching_epsilon(o["pairs"], o["eps"])
         planted = None
     elif fam == "stable-not-distinguished":
-        planted = gen_infinite_stable_not_distinguished(args.pairs, args.eps)
+        planted = gen_infinite_stable_not_distinguished(o["pairs"], o["eps"])
     if planted is not None:
         inst = planted.instance
     save_instance(inst, args.output)
@@ -207,15 +236,17 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
-    given = load_cut(args.cut) if args.cut else None
-    if given is not None:
-        check_cut(inst, given)  # a wrong-size cut fails here, before the max-cut scan
-    opt, _, count = brute_force_maxcut(inst)
-    cut = opt if given is None else given
+    if args.cut:
+        cut = load_cut(args.cut)
+        check_cut(inst, cut)  # a wrong-size cut fails here, before the scan
+        # the subset scan's tau table holds every cut weight, so it tallies the optima too
+        gamma, alpha, cheeger, count = subset_scan_with_ties(inst.weights, cut.delta)
+    else:
+        cut, _, count = brute_force_maxcut(inst)
+        gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
+        if count > 1:
+            gamma = 1.0  # the clamp of instance_stability: a tied optimum is only 1-stable
     weight = cut_weight(inst, cut)
-    gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
-    if given is None and count > 1:
-        gamma = 1.0  # the clamp of instance_stability: a tied optimum is only 1-stable
     _emit({
         "gamma": gamma,
         "gamma_local": local_stability_gamma(inst, cut),
@@ -340,17 +371,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance family member")
-    p.add_argument("family", choices=["planted-partition", "bipartite-noise", "euclidean",
-                                      "tightness", "matching-eps", "stable-not-distinguished"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--p", type=float, default=0.9)
-    p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--gamma", default="4")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--sep", type=float, default=4.0)
-    p.add_argument("--pairs", type=int, default=2)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("family", choices=list(_GEN_FLAGS))
+    # defaults per family in _GEN_FLAGS; a family refuses the flags it does not read
+    p.add_argument("--n", type=int)
+    p.add_argument("--p", type=float)
+    p.add_argument("--q", type=float)
+    p.add_argument("--gamma")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--sep", type=float)
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--seed", type=int, help="planted-partition, bipartite-noise and euclidean only")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--sidecar")
     p.set_defaults(func=_cmd_gen)

@@ -28,8 +28,9 @@ REL_TOL = 1e-9
 # absorbs accumulation error without masking genuinely tiny weights.
 ZERO_FRACTION = 1e-12
 
-# Largest n that instance_from_json accepts: the loader holds two n x n float64
-# copies at once, the matrix it fills and Instance's own, 256 MiB at this n.
+# Largest n that instance_from_json accepts: the loader fills one n x n float64
+# matrix, which the Instance keeps uncopied, 128 MiB at this n (its checks add
+# an n x n boolean temporary, 16 MiB).
 LOAD_MAX_N = 4096
 
 _NOT_NONNEGATIVE = "weights must be finite and nonnegative, with a finite total"
@@ -61,7 +62,10 @@ class Instance:
     __slots__ = ("n", "weights")
 
     def __init__(self, weights):
-        W = np.array(weights, dtype=np.float64)
+        self._adopt(np.array(weights, dtype=np.float64))
+
+    def _adopt(self, W: np.ndarray) -> None:
+        """Validate W, a float64 array no caller holds, and keep it read-only, uncopied."""
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise InvalidInstanceError(f"weights must be square, got shape {W.shape}")
         n = W.shape[0]
@@ -109,7 +113,7 @@ class Cut:
         s = np.array(side, dtype=bool)
         if s.ndim != 1:
             raise InvalidCutError("side must be a flat boolean vector")
-        if s.all() or not s.any():
+        if not 0 < np.count_nonzero(s) < s.size:
             raise InvalidCutError("both sides of a cut must be nonempty")
         s.flags.writeable = False
         object.__setattr__(self, "side", s)
@@ -362,7 +366,9 @@ def instance_from_json(doc: dict) -> Instance:
     W = np.zeros((n, n))
     W[lo, hi] = w
     W[hi, lo] = w
-    return Instance(W)
+    inst = Instance.__new__(Instance)
+    inst._adopt(W)  # W is the loader's own, so the instance keeps it rather than a copy
+    return inst
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -15,7 +15,8 @@ form chi^T M chi adds a cross term cross[a] . bits_lo[b] with cross =
 such form rather than the difference of two.  A scan's F forms are stacked
 into one augmented GEMM per chunk of high patterns: left rows
 [cross_f[a] | hi_f[a] | e_f] times right columns [bits_lo[b]; 1; lo_1[b] ...
-lo_F[b]], written into buffers allocated once per scan.  A scan therefore
+lo_F[b]], written into buffers allocated once per scan (the right matrix's
+first l + 1 rows are one cached table per l).  A scan therefore
 costs O(n 2^n) rather than the O(n^2 2^n) of forming W @ sides.  The layout
 also owns the chunk boundaries (2^14 masks each, but at least 8 high
 patterns, or all of them, so that n = 28 runs 1,024 chunks and not 8,192),
@@ -24,18 +25,25 @@ the excluded all-ones mask and the size cap of every scan, one constant,
 ``cut_sides`` yields, off cached bit tables.
 
 On top of it sit one per-vertex xi/iota helper for single cuts and blocks,
-and the 0/0 -> +inf ratio convention.  The maximum cut is found in a single pass
-that also counts the ties.
+and the 0/0 -> +inf ratio convention.  The maximum cut and its ties come from
+one tally, ``_Optima``, fed a table of cut weights per chunk: it keeps the
+running maximum and, per distinct weight within REL_TOL of it, the first mask
+and a count, and it skips a chunk whose maximum lies below that band.  The
+max-cut scan feeds it the cut form; the subset scan, whose tau(A) table is
+the same cut form, can feed it too, so ``subset_scan_with_ties`` gives the
+minima and the tie count of ``brute_force_maxcut`` from one pass.
 
 The enumeration of locally stable cuts tests no mask one by one.  A stable
 vertex x has xi(x) >= theta_x, a bound from gamma, mu_x and the tolerances,
 and (W chi)[x] = H[x, a] + L[x, b] is a linear form.  Where a fixes the side
 of x (vertex 0 and the high block), the admissible b for each a are a prefix
-of L[x, :] in sorted order or its complement: one row of a per-vertex table
-of packed prefix bitsets, picked by ``searchsorted``.  The low block gives
-sets of a for each b in the same way.  The AND of the row sets and of the
-column sets, combined chunk by chunk, leaves a few candidate masks, and the
-exact per-vertex test then decides each of them.
+of L[x, :] in sorted order or its complement: the keys below one bound, found
+by one ``searchsorted``.  A per-vertex table of packed prefix bitsets holds
+one row per distinct prefix length and one spare, so it has at most one row
+more than the sets it hands out.  The low block gives sets of a for each b
+in the same way.  The AND of the row sets and of the column sets, combined
+chunk by chunk, leaves a few candidate masks, and the exact per-vertex test
+then decides each of them.
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ _CHUNK = 1 << 14  # masks per chunk of a scan
 
 SCAN_MAX_N = 28  # largest n of every exhaustive scan
 
+_BYTE_BIT = np.uint8(0x80) >> np.arange(8, dtype=np.uint8)  # bit i % 8 of a packed byte
+
 
 @functools.lru_cache(maxsize=None)
 def _bit_table(k: int) -> np.ndarray:
@@ -63,6 +73,15 @@ def _bit_table(k: int) -> np.ndarray:
     bits = ((r[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.float64)
     bits.flags.writeable = False
     return bits
+
+
+@functools.lru_cache(maxsize=None)
+def _right_head(l: int) -> np.ndarray:
+    """Read-only (l + 1, 2^l) head of a scan's right matrix: bits_lo transposed, then ones."""
+    head = np.ones((l + 1, 1 << l))
+    head[:l] = _bit_table(l).T
+    head.flags.writeable = False
+    return head
 
 
 class _Scan:
@@ -104,9 +123,12 @@ class _Scan:
         q_lo = Xl @ (2.0 * M[0, lo]) + np.einsum("bi,bi->b", Xl @ M[lo, lo], Xl)
         return q_hi, q_lo, Xh @ (2.0 * M[hi, lo])
 
-    def cut(self, M: np.ndarray) -> tuple:
-        """The form w_M(S, S-bar) = (M 1) . chi - chi^T M chi for a symmetric M."""
-        l_hi, l_lo, _ = self.linear(M.sum(axis=1))
+    def cut(self, M: np.ndarray, degree: tuple | None = None) -> tuple:
+        """The form w_M(S, S-bar) = (M 1) . chi - chi^T M chi for a symmetric M.
+
+        ``degree`` is the form (M 1) . chi when the caller holds it already.
+        """
+        l_hi, l_lo, _ = self.linear(M.sum(axis=1)) if degree is None else degree
         q_hi, q_lo, cross = self.quadratic(M)
         return l_hi - q_hi, l_lo - q_lo, -cross
 
@@ -115,15 +137,15 @@ class _Scan:
 
         Every chunk is one GEMM: row a of form f's left block is
         [cross_f[a] | hi_f[a] | e_f] (a linear form's cross is zero) and the
-        right matrix's column b is [bits_lo[b]; 1; lo_1[b] ... lo_F[b]].  The
+        right matrix's column b is [bits_lo[b]; 1; lo_1[b] ... lo_F[b]], whose
+        first l + 1 rows are copied from one read-only table per l.  The
         yielded tables are views of one buffer allocated per call, in mask
         order, and are overwritten at the next chunk.
         """
         F, l = len(forms), self.l
         left = np.zeros((F, self.bits_hi.shape[0], l + 1 + F))
         right = np.empty((l + 1 + F, 1 << l))
-        right[:l] = self.bits_lo.T
-        right[l] = 1.0
+        right[:l + 1] = _right_head(l)
         for f, (hi, lo, cross) in enumerate(forms):
             if cross is not None:
                 left[f, :, :l] = cross
@@ -167,6 +189,39 @@ def _ratio_or_inf(num: np.ndarray, den: np.ndarray, zero: float) -> np.ndarray:
     return np.where(den > zero, num / np.where(den > zero, den, 1.0), INF)
 
 
+class _Optima:
+    """The maximum cut weight over the chunks of a scan, with its ties.
+
+    Cuts within REL_TOL of the running maximum (a superset of the final
+    optima) are tallied per distinct weight, so memory stays small however
+    many optima tie.  Weights enter in scan order of their first cut.  A chunk
+    whose maximum lies below that tolerance band adds nothing and is skipped.
+    """
+
+    def __init__(self):
+        self.best = -INF
+        self.near: dict[float, list] = {}  # weight -> [first mask, count]
+
+    def add(self, first: int, w: np.ndarray) -> None:
+        """Tally the cut weights w of the masks first, first + 1, ..."""
+        top = float(w.max())
+        self.best = max(self.best, top)
+        floor = self.best - REL_TOL * self.best
+        if top < floor:
+            return
+        idx = np.flatnonzero(w >= floor)
+        values, first_at, counts = np.unique(w[idx], return_index=True, return_counts=True)
+        for j in np.argsort(first_at):
+            entry = self.near.setdefault(float(values[j]), [first + int(idx[first_at[j]]), 0])
+            entry[1] += int(counts[j])
+
+    def result(self) -> tuple[int, int]:
+        """(first optimal mask, number of distinct optimal cuts)."""
+        floor = self.best - REL_TOL * self.best
+        optima = [entry for v, entry in self.near.items() if v >= floor]
+        return optima[0][0], sum(count for _, count in optima)
+
+
 def brute_force_maxcut(inst: Instance) -> tuple[Cut, float, int]:
     """Exhaustive maximum cut.
 
@@ -176,21 +231,56 @@ def brute_force_maxcut(inst: Instance) -> tuple[Cut, float, int]:
     tolerance 1e-9.  Raises SizeLimitError when n > SCAN_MAX_N.
     """
     scan = _Scan(inst.n)
-    best = -INF
-    # Cuts within tolerance of the running best (a superset of the final
-    # optima) are tallied per distinct weight, so memory stays small however
-    # many optima tie.  Weights enter in scan order of their first cut.
-    near: dict[float, list] = {}  # weight -> [first mask, count]
+    optima = _Optima()
     for first, _, (w,) in scan.tables([scan.cut(inst.weights)]):
-        best = max(best, float(w.max()))
-        idx = np.flatnonzero(w >= best - REL_TOL * best)
-        values, first_at, counts = np.unique(w[idx], return_index=True, return_counts=True)
-        for j in np.argsort(first_at):
-            entry = near.setdefault(float(values[j]), [first + int(idx[first_at[j]]), 0])
-            entry[1] += int(counts[j])
-    optima = [entry for v, entry in near.items() if v >= best - REL_TOL * best]
-    cut = Cut(scan.sides(np.array([optima[0][0]]))[:, 0])
-    return cut, cut_weight(inst, cut), sum(count for _, count in optima)
+        optima.add(first, w)
+    mask, count = optima.result()
+    cut = Cut(scan.sides(np.array([mask]))[:, 0])
+    return cut, cut_weight(inst, cut), count
+
+
+def _minima(W: np.ndarray, delta: np.ndarray | None,
+            optima: _Optima | None) -> tuple[float, float, float]:
+    """The scan of ``subset_scan_minima``; its tau table, the cut weight of
+    every side, also feeds ``optima`` when one is given."""
+    scan = _Scan(W.shape[0])
+    mu = W.sum(axis=1)
+    total_mu = float(mu.sum())
+    zero = ZERO_FRACTION * max(total_mu, 1e-300)
+    # mu(A), tau(A) = w_W(A, A-bar) and xi(A) = w_{W_cut}(A, A-bar)
+    degree = scan.linear(mu)
+    forms = [degree, scan.cut(W, degree)]
+    if delta is not None:
+        forms.append(scan.cut(W * (delta[:, None] * delta[None, :] < 0)))
+    # A nonempty proper side has mu at least the least degree (less the
+    # rounding of total_mu - mu(A), far below zero), so sides at or below
+    # zero, whose ratios count as 0, can occur only when some degree is
+    # within 2 * zero.
+    guard = bool(mu.min() <= 2.0 * zero)
+    chunk = min(scan.count, scan.step)
+    ratio_buf, low_buf = np.empty(chunk), np.empty(chunk, dtype=bool)
+    gamma = alpha = cheeger = INF
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 and 0/0 are overwritten with +inf
+        for first, size, (mu_a, tau, *cut_part) in scan.tables(forms):
+            if optima is not None:
+                optima.add(first, tau)
+            ratio, low = ratio_buf[:size], low_buf[:size]
+            np.subtract(total_mu, mu_a, out=ratio)
+            side = np.minimum(mu_a, ratio, out=mu_a)  # mu(A) is spent: its table holds min-side
+            if guard:
+                np.less_equal(side, zero, out=low)
+                np.copyto(side, INF, where=low)
+            cheeger = min(cheeger, float(np.divide(tau, side, out=ratio).min()))
+            if cut_part:
+                xi = cut_part[0]
+                iota = np.subtract(tau, xi, out=tau)  # tau is spent: its table holds iota
+                np.divide(xi, iota, out=ratio)
+                np.less_equal(iota, zero, out=low)
+                np.copyto(ratio, INF, where=low)  # 0/0 -> +inf, and so is every iota <= zero
+                gamma = min(gamma, float(ratio.min()))
+                np.subtract(xi, iota, out=ratio)
+                alpha = min(alpha, float(np.divide(ratio, side, out=ratio).min()))
+    return gamma, alpha, cheeger
 
 
 def subset_scan_minima(W: np.ndarray, delta: np.ndarray | None = None) -> tuple[float, float, float]:
@@ -201,41 +291,15 @@ def subset_scan_minima(W: np.ndarray, delta: np.ndarray | None = None) -> tuple[
     When ``delta`` is None only the Cheeger minimum is meaningful and the
     first two come back as +inf.  0/0 ratios are +inf by convention.
     """
-    scan = _Scan(W.shape[0])
-    mu = W.sum(axis=1)
-    total_mu = float(mu.sum())
-    zero = ZERO_FRACTION * max(total_mu, 1e-300)
-    # mu(A), tau(A) = w_W(A, A-bar) and xi(A) = w_{W_cut}(A, A-bar)
-    forms = [scan.linear(mu), scan.cut(W)]
-    if delta is not None:
-        forms.append(scan.cut(W * (delta[:, None] * delta[None, :] < 0)))
-    # A nonempty proper side has mu at least the least degree (less the
-    # rounding of total_mu - mu(A), far below zero), so sides at or below
-    # zero, whose ratios count as 0, can occur only when some degree is
-    # within 2 * zero.
-    guard = bool(mu.min() <= 2.0 * zero)
-    chunk = min(scan.count, scan.step)
-    ratio_buf, ok_buf = np.empty(chunk), np.empty(chunk, dtype=bool)
-    gamma = alpha = cheeger = INF
-    for _, size, (mu_a, tau, *cut_part) in scan.tables(forms):
-        ratio, ok = ratio_buf[:size], ok_buf[:size]
-        np.subtract(total_mu, mu_a, out=ratio)
-        side = np.minimum(mu_a, ratio, out=mu_a)  # mu(A) is spent: its table holds min-side
-        if guard:
-            np.less_equal(side, zero, out=ok)
-            np.copyto(side, INF, where=ok)
-        cheeger = min(cheeger, float(np.divide(tau, side, out=ratio).min()))
-        if cut_part:
-            xi = cut_part[0]
-            iota = np.subtract(tau, xi, out=tau)  # tau is spent: its table holds iota
-            np.greater(iota, zero, out=ok)
-            np.divide(xi, iota, out=ratio, where=ok)
-            np.logical_not(ok, out=ok)
-            np.copyto(ratio, INF, where=ok)  # 0/0 -> +inf
-            gamma = min(gamma, float(ratio.min()))
-            np.subtract(xi, iota, out=ratio)
-            alpha = min(alpha, float(np.divide(ratio, side, out=ratio).min()))
-    return gamma, alpha, cheeger
+    return _minima(W, delta, None)
+
+
+def subset_scan_with_ties(W: np.ndarray, delta: np.ndarray) -> tuple[float, float, float, int]:
+    """``subset_scan_minima(W, delta)`` and the number of distinct maximum cuts
+    (``brute_force_maxcut``'s third value), from one scan."""
+    optima = _Optima()
+    gamma, alpha, cheeger = _minima(W, delta, optima)
+    return gamma, alpha, cheeger, optima.result()[1]
 
 
 def per_vertex_cut_weights(W: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,25 +352,27 @@ def cheeger_constant(inst: Instance) -> float:
     return h
 
 
-def _threshold_sets(key: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                    in_s: np.ndarray) -> np.ndarray:
+def _threshold_sets(key: np.ndarray, bound: np.ndarray, in_s: np.ndarray) -> np.ndarray:
     """Bitsets over the entries of ``key``, one per row j: the i with
-    key[i] <= upper[j] where in_s[j], else the i with key[i] >= lower[j].
+    key[i] < bound[j] where in_s[j], else the complement of that set.
 
     Bit i of a row is bit 7 - i % 8 of its byte i // 8, as ``np.packbits``
-    lays it out; rows are whole uint64 words.  Row k of one table holds the k
-    smallest keys (a ``bitwise_or.accumulate`` over one-hot rows); a set of
-    the first kind is a row of it and a set of the second kind a row's
-    complement.
+    lays it out; rows are whole uint64 words.  The set below bound[j] is the
+    k smallest keys for k from one search, so a prefix table with one row per
+    distinct k (one-hot bits, then a ``bitwise_or.accumulate``) holds them all.
     """
-    order = np.argsort(key)
-    table = np.zeros((key.size + 1, -(-key.size // 64)), dtype=np.uint64)
-    table.view(np.uint8)[np.arange(1, key.size + 1), order >> 3] = 0x80 >> (order & 7)
+    order = key.argsort()  # the methods, not their np.* wrappers: this runs once per vertex
+    k = key[order].searchsorted(bound)
+    below = np.zeros(key.size + 2, dtype=bool)
+    below[k + 1] = True
+    rank = below.cumsum()  # rank[q]: the distinct k below q
+    # row rank[k] holds the k smallest keys.  The key at sorted position p
+    # enters at row rank[p + 1], the first whose k exceeds p; the last row,
+    # rank[-1], takes the keys that no row holds and is never read.
+    table = np.zeros((rank[-1] + 1, -(-key.size // 64)), dtype=np.uint64)
+    np.bitwise_or.at(table.view(np.uint8), (rank[1:-1], order >> 3), _BYTE_BIT[order & 7])
     np.bitwise_or.accumulate(table, axis=0, out=table)
-    ordered = key[order]
-    k = np.where(in_s, np.searchsorted(ordered, upper, "right"),
-                 np.searchsorted(ordered, lower, "left"))
-    sets = table[k]
+    sets = table[rank[k]]
     flip = np.where(in_s, np.uint64(0), ~np.uint64(0))
     return np.bitwise_xor(sets, flip[:, None], out=sets)
 
@@ -342,18 +408,27 @@ def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
     # the margin dwarfs the rounding of to_s, xi, stable() and the thresholds
     theta -= 2.0 ** -40 * (mu + zero)
 
-    # xi >= theta reads to_s <= mu - theta for x in S and to_s >= theta
-    # otherwise.  Vertex 0 and the high block have their side fixed by a, so
-    # each gives a set of admissible b per a; the low block, sets of a per b.
-    in_s = np.ones((1 << h, 1 + h), dtype=bool)
-    in_s[:, 1:] = scan.bits_hi
+    # xi >= theta reads to_s <= mu - theta, that is to_s < nextafter(mu - theta),
+    # for x in S and to_s >= theta otherwise.  Vertex 0 and the high block have
+    # their side fixed by a, so each gives a set of admissible b per a; the low
+    # block, sets of a per b.
+    slack = mu - theta
+
+    def bounds(xs: slice, own: np.ndarray, in_s: np.ndarray) -> np.ndarray:
+        own = own[xs]
+        return np.where(in_s, np.nextafter(slack[xs, None] - own, INF), theta[xs, None] - own)
+
+    in_s = np.ones((1 + h, 1 << h), dtype=bool)
+    in_s[1:] = scan.bits_hi.T
+    bound = bounds(slice(0, 1 + h), H, in_s)
     rows = np.full((1 << h, -(-(1 << l) // 64)), ~np.uint64(0))
     for x in range(1 + h):
-        rows &= _threshold_sets(L[x], mu[x] - theta[x] - H[x], theta[x] - H[x], in_s[:, x])
+        rows &= _threshold_sets(L[x], bound[x], in_s[x])
+    in_s = scan.bits_lo.T > 0
+    bound = bounds(scan.lo, L, in_s)
     cols = np.full((1 << l, -(-(1 << h) // 64)), ~np.uint64(0))
     for j, x in enumerate(range(1 + h, inst.n)):
-        cols &= _threshold_sets(H[x], mu[x] - theta[x] - L[x], theta[x] - L[x],
-                                scan.bits_lo[:, j] > 0)
+        cols &= _threshold_sets(H[x], bound[j], in_s[j])
 
     # a chunk holds at least 8 high patterns, or all of them, so its columns
     # start on a byte of cols.  The exact test then decides each candidate.

@@ -44,16 +44,16 @@ def test_gen_writes_instance_and_sidecar(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,n", [
-    (["planted-partition", "--n", "10"], 10),
-    (["bipartite-noise"], 8),
-    (["euclidean", "--n", "6", "--dim", "3"], 6),
+    (["planted-partition", "--n", "10", "--seed", "1"], 10),
+    (["bipartite-noise", "--seed", "1"], 8),
+    (["euclidean", "--n", "6", "--dim", "3", "--seed", "1"], 6),
     (["tightness", "--pairs", "3"], 12),
     (["matching-eps", "--pairs", "3"], 6),
     (["stable-not-distinguished", "--pairs", "3"], 6),
 ])
 def test_gen_every_family(tmp_path, capsys, argv, n):
     out_path = str(tmp_path / "inst.json")
-    code, out = run(capsys, "gen", *argv, "--seed", "1", "-o", out_path)
+    code, out = run(capsys, "gen", *argv, "-o", out_path)
     assert code == 0
     assert json.loads(out)["n"] == sc.load_instance(out_path).n == n
     sidecar = Path(out_path + ".planted.json")
@@ -66,13 +66,41 @@ def test_gen_every_family(tmp_path, capsys, argv, n):
 def test_gen_refuses_a_sidecar_without_a_planted_cut(tmp_path, capsys):
     # matching-eps has no planted cut: --sidecar is refused before any file is written
     out_path, side_path = tmp_path / "me.json", tmp_path / "side.json"
-    code = main(["gen", "matching-eps", "--pairs", "3", "--seed", "0", "-o", str(out_path),
+    code = main(["gen", "matching-eps", "--pairs", "3", "-o", str(out_path),
                  "--sidecar", str(side_path)])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err) == {"error": "matching-eps has no planted cut to write to --sidecar",
                                "kind": "ParameterError"}
     assert not out_path.exists() and not side_path.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["tightness", "--n", "50", "--pairs", "2"], "n"),
+    (["stable-not-distinguished", "--gamma", "2"], "gamma"),
+    (["matching-eps", "--seed", "0"], "seed"),
+    (["planted-partition", "--eps", "0.1", "--seed", "1"], "eps"),
+    (["euclidean", "--p", "0.5", "--seed", "1"], "p"),
+])
+def test_gen_refuses_a_flag_its_family_does_not_read(tmp_path, capsys, argv, flag):
+    out_path = tmp_path / "inst.json"
+    code = main(["gen", *argv, "-o", str(out_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": f"gen {argv[0]} does not read --{flag}",
+                               "kind": "ParameterError"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_needs_a_seed_only_for_the_seeded_families(tmp_path, capsys):
+    for family in ("planted-partition", "bipartite-noise", "euclidean"):
+        code = main(["gen", family, "-o", str(tmp_path / "inst.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"gen {family} needs --seed", "kind": "ParameterError"}
+        assert list(tmp_path.iterdir()) == []
+    for family in ("tightness", "matching-eps", "stable-not-distinguished"):
+        assert run(capsys, "gen", family, "-o", str(tmp_path / f"{family}.json"))[0] == 0
 
 
 def test_gen_infinite_gamma_serializes_as_string(tmp_path, capsys):
@@ -166,8 +194,7 @@ def test_verify_reports_stability(tmp_path, capsys):
 
 def test_verify_clamps_a_tied_optimum_to_gamma_one(tmp_path, capsys):
     path = str(tmp_path / "m.json")
-    assert run(capsys, "gen", "matching-eps", "--pairs", "3", "--eps", "0.1", "--seed", "0",
-               "-o", path)[0] == 0
+    assert run(capsys, "gen", "matching-eps", "--pairs", "3", "--eps", "0.1", "-o", path)[0] == 0
     inst = sc.load_instance(path)
     opt, _, count = sc.brute_force_maxcut(inst)
     raw = subset_scan_minima(inst.weights, opt.delta)[0]
@@ -177,6 +204,30 @@ def test_verify_clamps_a_tied_optimum_to_gamma_one(tmp_path, capsys):
     report = json.loads(out)
     assert report["is_unique_maxcut"] is False
     assert report["gamma"] == 1.0 == sc.instance_stability(inst).gamma
+
+
+def test_verify_cut_matches_separate_scans_on_every_family(tmp_path, capsys):
+    # verify --cut tallies the optima from its one subset scan; its report
+    # equals the max-cut scan plus the subset scan run one after the other
+    rng = np.random.default_rng(16)
+    pool = [sc.gen_planted_partition(16, 0.6, 0.4, 1), sc.gen_stable_bipartite_noise(14, 3.0, 2),
+            sc.gen_euclidean_metric(12, 2, 1.5, 3), sc.gen_tightness_example(3),
+            sc.gen_infinite_stable_not_distinguished(5, 0.01)]
+    pool = [(p.instance, p.planted_cut) for p in pool]
+    pool += [(sc.gen_matching_epsilon(8, 0.1), sc.Cut(np.arange(16) % 2 == 0))]
+    for k, (inst, planted) in enumerate(pool):
+        inst_path, cut_path = str(tmp_path / f"i{k}.json"), str(tmp_path / f"c{k}.json")
+        sc.save_instance(inst, inst_path)
+        for cut in (planted, sc.Cut(rng.random(inst.n) < 0.5)):
+            sc.save_cut(cut, cut_path)
+            code, out = run(capsys, "verify", inst_path, "--cut", cut_path)
+            assert code == 0
+            _, _, count = sc.brute_force_maxcut(inst)
+            gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
+            assert json.loads(out) == json.loads(json.dumps(cli._jsonable({
+                "gamma": gamma, "gamma_local": sc.local_stability_gamma(inst, cut),
+                "alpha": alpha, "cheeger": cheeger, "is_unique_maxcut": count == 1,
+                "cut": sc.cut_to_json(cut), "cut_weight": sc.cut_weight(inst, cut)})))
 
 
 def test_verify_rejects_non_cut(tmp_path, capsys):
@@ -189,10 +240,11 @@ def test_verify_rejects_non_cut(tmp_path, capsys):
 
 
 def test_verify_rejects_a_wrong_size_cut_before_the_scan(tmp_path, capsys, monkeypatch):
-    def no_scan(inst):
-        raise AssertionError("the max-cut scan ran on a cut of the wrong size")
+    def no_scan(*args):
+        raise AssertionError("a scan ran on a cut of the wrong size")
 
-    monkeypatch.setattr(cli, "brute_force_maxcut", no_scan)
+    for scan in ("brute_force_maxcut", "subset_scan_minima", "subset_scan_with_ties"):
+        monkeypatch.setattr(cli, scan, no_scan)
     short = tmp_path / "short.json"
     short.write_text('{"side": [1, 0, 1]}')
     code = main(["verify", write_c4(tmp_path), "--cut", str(short)])
@@ -371,8 +423,7 @@ def test_certify_spectral_with_rounding_level_alpha(tmp_path, capsys):
     for pairs, eps, finite in (("8", "0.12506055190198623", False),
                                ("5", "0.07619728746098149", True)):
         path = str(tmp_path / f"me{pairs}.json")
-        code, _ = run(capsys, "gen", "matching-eps", "--pairs", pairs, "--eps", eps,
-                      "--seed", "0", "-o", path)
+        code, _ = run(capsys, "gen", "matching-eps", "--pairs", pairs, "--eps", eps, "-o", path)
         assert code == 0
         cut_path = str(tmp_path / f"opt{pairs}.json")
         code, _ = run(capsys, "solve", path, "--algo", "brute", "--cut-out", cut_path)
@@ -469,7 +520,7 @@ def test_python_m_stablecut_runs_from_a_checkout(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(src))
     out_path = str(tmp_path / "tight.json")
     done = subprocess.run([sys.executable, "-m", "stablecut", "gen", "tightness", "--pairs", "2",
-                           "--seed", "0", "-o", out_path],
+                           "-o", out_path],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["n"] == sc.load_instance(out_path).n == 8
@@ -511,9 +562,9 @@ GOLDEN_ARGVS = (
     ("gen", "planted-partition", "--n", "10", "--seed", "1", "-o", "pp.json"),
     ("gen", "bipartite-noise", "--n", "10", "--gamma", "40", "--seed", "2", "-o", "bn.json"),
     ("gen", "euclidean", "--n", "8", "--dim", "2", "--seed", "3", "-o", "eu.json"),
-    ("gen", "tightness", "--pairs", "2", "--seed", "0", "-o", "tight.json"),
-    ("gen", "matching-eps", "--pairs", "3", "--seed", "0", "-o", "me.json"),
-    ("gen", "stable-not-distinguished", "--pairs", "3", "--seed", "0", "-o", "snd.json"),
+    ("gen", "tightness", "--pairs", "2", "-o", "tight.json"),
+    ("gen", "matching-eps", "--pairs", "3", "-o", "me.json"),
+    ("gen", "stable-not-distinguished", "--pairs", "3", "-o", "snd.json"),
     ("solve", "bn.json", "--algo", "brute", "--with-oracle", "--cut-out", "bn.cut.json"),
     ("solve", "bn.json", "--algo", "dense", "--m", "8", "--seed", "1", "--with-oracle"),
     ("solve", "eu.json", "--algo", "metric-dense", "--m", "8", "--seed", "2", "--with-oracle"),

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -549,6 +550,21 @@ def test_instance_json_with_too_few_entries_fails_as_the_per_entry_reader():
         with pytest.raises(InvalidInstanceError) as got:
             sc.instance_from_json(doc)
         assert str(got.value) == str(expected.value)
+
+
+def test_instance_json_keeps_one_copy_of_the_matrix():
+    # the instance keeps the matrix the loader fills, so loading a path on
+    # 2,000 vertices peaks near one n x n float64 matrix, not two
+    n = 2000
+    doc = {"n": n, "weights": [[i, i + 1, 1.0] for i in range(n - 1)]}
+    tracemalloc.start()
+    try:
+        inst = sc.instance_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not inst.weights.flags.writeable and inst.weights[5, 6] == inst.weights[6, 5] == 1.0
+    assert peak < 1.25 * inst.weights.nbytes
 
 
 def test_cut_json_roundtrip(tmp_path):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import stablecut as sc
+from stablecut import oracle
 from stablecut.errors import ParameterError, SizeLimitError
 from stablecut.instance import REL_TOL, ZERO_FRACTION, cut_weights_for_sides
-from stablecut.oracle import cut_sides, per_vertex_cut_weights, subset_scan_minima
+from stablecut.oracle import (cut_sides, per_vertex_cut_weights, subset_scan_minima,
+                              subset_scan_with_ties)
 
 from conftest import random_cut, random_instance, subset_stats
 
@@ -387,6 +389,41 @@ def test_block_scan_matches_chunked_kernel():
             assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
 
 
+@pytest.mark.parametrize("n", [19, 20])
+def test_maxcut_tally_across_chunks_matches_chunked_kernel(n):
+    # K_n and matching-eps (on 2 * (n // 2) vertices) tie within and across
+    # chunk boundaries (32 chunks of 2^14 masks at n = 20); the planted
+    # partition's unique optimum is first met in the last chunk, after every
+    # earlier chunk has raised the best
+    pool = [sc.Instance(np.ones((n, n)) - np.eye(n)), sc.gen_matching_epsilon(n // 2, 0.1),
+            sc.gen_planted_partition(n, 0.9, 0.1, 30).instance]
+    rng = np.random.default_rng(n)
+    for inst in pool:
+        opt = sc.brute_force_maxcut(inst)
+        assert opt == _chunked_maxcut(inst)
+        delta = random_cut(rng, inst.n).delta
+        assert subset_scan_with_ties(inst.weights, delta) == (
+            *subset_scan_minima(inst.weights, delta), opt[2])
+    ties = [sc.brute_force_maxcut(inst)[2] for inst in pool]
+    assert ties == [math.comb(n, n // 2) // (2 if n % 2 == 0 else 1), 2 ** (n // 2 - 1), 1]
+    side = sc.brute_force_maxcut(pool[2])[0].side
+    assert int("".join(str(int(b)) for b in side[1:]), 2) >> 14 == (1 << (n - 15)) - 1
+
+
+def test_fused_scan_matches_separate_scans_on_tied_pools():
+    # the tally fed from the subset scan's tau table counts what the max-cut
+    # scan counts, bit for bit, on pools with many ties
+    rng = np.random.default_rng(606)
+    pool = [random_instance(rng, n) for n in (2, 3, 7, 12, 16)]
+    pool += [sc.Instance(np.ones((n, n)) - np.eye(n)) for n in (3, 6, 11, 16)]
+    pool += [sc.gen_matching_epsilon(pairs, float(rng.uniform(1e-3, 0.3))) for pairs in (1, 4, 8)]
+    for inst in pool:
+        _, _, count = sc.brute_force_maxcut(inst)
+        for delta in (random_cut(rng, inst.n).delta, random_cut(rng, inst.n).delta):
+            assert subset_scan_with_ties(inst.weights, delta) == (
+                *subset_scan_minima(inst.weights, delta), count)
+
+
 def test_subset_scan_guard_for_a_near_isolated_vertex():
     # a degree below ZERO_FRACTION * total makes that vertex's side count as
     # empty: its ratios read 0, as in the kernel without the min-degree shortcut
@@ -420,6 +457,36 @@ def test_scans_with_odd_and_even_splits_match_chunked_kernel(n):
     if n < 24:
         for level in LEVELS:
             assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
+
+
+def _table_threshold_sets(key, upper, lower, in_s):
+    """The threshold sets from a full prefix table of key.size + 1 rows and two
+    searches, as the enumeration built them before it kept only the rows it reads."""
+    order = np.argsort(key)
+    table = np.zeros((key.size + 1, -(-key.size // 64)), dtype=np.uint64)
+    table.view(np.uint8)[np.arange(1, key.size + 1), order >> 3] = 0x80 >> (order & 7)
+    np.bitwise_or.accumulate(table, axis=0, out=table)
+    ordered = key[order]
+    k = np.where(in_s, np.searchsorted(ordered, upper, "right"),
+                 np.searchsorted(ordered, lower, "left"))
+    sets = table[k]
+    flip = np.where(in_s, np.uint64(0), ~np.uint64(0))
+    return np.bitwise_xor(sets, flip[:, None], out=sets)
+
+
+def test_threshold_sets_match_the_full_prefix_table():
+    # one search against nextafter(upper, inf) and a table of the distinct
+    # prefixes give the sets of the full table, with tied keys and bounds on,
+    # between and beyond the keys
+    rng = np.random.default_rng(8080)
+    for size, rows in ((1, 1), (3, 8), (64, 5), (65, 130), (512, 256), (2048, 4096)):
+        key = rng.integers(0, max(2, size // 3), size).astype(float) * 0.1
+        upper = rng.choice(np.concatenate([key, key + 0.05, [-1.0, 1e9]]), rows)
+        lower = rng.choice(np.concatenate([key, key - 0.05, [-1.0, 1e9]]), rows)
+        in_s = rng.random(rows) < 0.5
+        expected = _table_threshold_sets(key, upper, lower, in_s)
+        bound = np.where(in_s, np.nextafter(upper, INF), lower)
+        assert np.array_equal(oracle._threshold_sets(key, bound, in_s), expected)
 
 
 def test_enumeration_keeps_cuts_inside_the_tolerance():
