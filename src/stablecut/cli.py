@@ -104,17 +104,20 @@ _GEN_FLAGS = {
 }
 
 
+# every gen flag with its type; each is None unless given
+_GEN_FLAG_TYPES = {"n": int, "p": float, "q": float, "gamma": str, "dim": int, "sep": float,
+                   "pairs": int, "eps": float, "seed": int}
+
+
 def _gen_options(args) -> dict:
     """The flags the family reads, defaults filled in.  A flag given that it
     does not read, or a needed flag left out, is a ParameterError."""
     reads = _GEN_FLAGS[args.family]
-    options = dict(reads)
-    for flag in dict.fromkeys(flag for flags in _GEN_FLAGS.values() for flag in flags):
-        value = getattr(args, flag)
-        if value is not None:
-            if flag not in reads:
-                raise ParameterError(f"gen {args.family} does not read --{flag}")
-            options[flag] = value
+    for flag in _GEN_FLAG_TYPES:
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ParameterError(f"gen {args.family} does not read --{flag}")
+    options = {flag: default if getattr(args, flag) is None else getattr(args, flag)
+               for flag, default in reads.items()}
     for flag, value in options.items():
         if value is None:
             raise ParameterError(f"gen {args.family} needs --{flag}")
@@ -373,15 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance family member")
     p.add_argument("family", choices=list(_GEN_FLAGS))
     # defaults per family in _GEN_FLAGS; a family refuses the flags it does not read
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--gamma")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--sep", type=float)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--seed", type=int, help="planted-partition, bipartite-noise and euclidean only")
+    for flag, kind in _GEN_FLAG_TYPES.items():
+        p.add_argument(f"--{flag}", type=kind)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--sidecar")
     p.set_defaults(func=_cmd_gen)
