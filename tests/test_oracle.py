@@ -460,8 +460,8 @@ def test_scans_with_odd_and_even_splits_match_chunked_kernel(n):
 
 
 def _table_threshold_sets(key, upper, lower, in_s):
-    """The threshold sets from a full prefix table of key.size + 1 rows and two
-    searches, as the enumeration built them before it kept only the rows it reads."""
+    """Reference threshold sets: the i with key[i] <= upper[j] where in_s[j], else
+    key[i] >= lower[j], read off a full prefix table of key.size + 1 rows."""
     order = np.argsort(key)
     table = np.zeros((key.size + 1, -(-key.size // 64)), dtype=np.uint64)
     table.view(np.uint8)[np.arange(1, key.size + 1), order >> 3] = 0x80 >> (order & 7)
