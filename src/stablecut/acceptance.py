@@ -36,11 +36,11 @@ from .metric import (
 from .oracle import (
     brute_force_maxcut,
     cut_sides,
-    cut_stability_gamma,
+    cut_stability,
     enumerate_locally_stable_cuts,
+    instance_stability,
     local_gammas,
     local_stability_gamma,
-    subset_scan_minima,
 )
 from .spectral import (
     bipolarity_check,
@@ -145,10 +145,11 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     for fi, family in enumerate(FAMILIES):
         for inst, _ in _family_pool(family, per_family, seed + fi):
             cut, _, count = brute_force_maxcut(inst)
-            gamma_raw, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
-            gamma_local = local_stability_gamma(inst, cut)
-            unique = count == 1
-            ok = _le(gamma_raw, gamma_local) and _le(alpha, cheeger)
+            rep = cut_stability(inst, cut)
+            gamma_raw, alpha, unique = rep.gamma, rep.alpha, count == 1
+            # the subset scan's tie tally agrees with the max-cut scan's count
+            ok = (rep.is_unique_maxcut == unique and _le(gamma_raw, rep.gamma_local)
+                  and _le(alpha, rep.cheeger))
             if unique and alpha < 1.0:
                 ok = ok and _le((1.0 + alpha) / (1.0 - alpha), gamma_raw)
             elif unique:
@@ -309,18 +310,16 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         solved = ball_enumeration_solve(inst)
         ok = ok and _is_ball(inst, cut) and _close(cut_weight(inst, solved), w)
 
-    tight = gen_tightness_example(2)
-    t_cut, t_w, t_cnt = brute_force_maxcut(tight.instance)
-    t_gl = local_stability_gamma(tight.instance, t_cut)
-    t_gamma = cut_stability_gamma(tight.instance, t_cut)
-    t_ball_w = cut_weight(tight.instance, ball_enumeration_solve(tight.instance))
-    tight_ok = (t_cnt == 1 and 2.0 + 1e-9 < t_gl < 3.0 - 1e-9
-                and not _is_ball(tight.instance, t_cut) and t_ball_w < t_w * (1.0 - REL_TOL))
+    tight = gen_tightness_example(2).instance
+    t = instance_stability(tight)
+    t_ball_w = cut_weight(tight, ball_enumeration_solve(tight))
+    tight_ok = (t.is_unique_maxcut and 2.0 + 1e-9 < t.gamma_local < 3.0 - 1e-9
+                and not _is_ball(tight, t.cut) and t_ball_w < t.cut_weight * (1.0 - REL_TOL))
     ok = ok and tight_ok
     return CriterionResult(4, "ball guarantee at desk scale", ok,
-                           {"qualified": len(pool), "tightness_gamma_local": round(t_gl, 6),
-                            "tightness_gamma_subset": round(t_gamma, 6),
-                            "tightness_ball_weight": t_ball_w, "tightness_opt": t_w})
+                           {"qualified": len(pool), "tightness_gamma_local": round(t.gamma_local, 6),
+                            "tightness_gamma_subset": round(t.gamma, 6),
+                            "tightness_ball_weight": t_ball_w, "tightness_opt": t.cut_weight})
 
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:

@@ -13,13 +13,14 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
 from .dense import DenseSolverConfig, dense_solve
-from .errors import ParameterError, SolverFailure, StableCutError
+from .errors import ParameterError, SizeLimitError, SolverFailure, StableCutError
 from .generators import (
     gen_euclidean_metric,
     gen_infinite_stable_not_distinguished,
@@ -29,7 +30,8 @@ from .generators import (
     gen_tightness_example,
 )
 from .instance import (
-    check_cut,
+    LOAD_MAX_N,
+    Instance,
     cut_to_json,
     cut_weight,
     load_cut,
@@ -39,12 +41,7 @@ from .instance import (
     save_instance,
 )
 from .metric import ball_enumeration_solve, metric_dense_solve, normalize_total_weight, split_instance
-from .oracle import (
-    brute_force_maxcut,
-    local_stability_gamma,
-    subset_scan_minima,
-    subset_scan_with_ties,
-)
+from .oracle import brute_force_maxcut, cut_stability, instance_stability
 from .spectral import (
     bipolarity_check,
     distinguished_condition,
@@ -93,26 +90,27 @@ def _emit(doc: dict, fh) -> None:
 # ---------------------------------------------------------------------------
 
 
-# per family, the gen flags it reads and their defaults; None marks a flag it needs
-_GEN_FLAGS = {
-    "planted-partition": {"n": 8, "p": 0.9, "q": 0.1, "seed": None},
-    "bipartite-noise": {"n": 8, "gamma": "4", "seed": None},
-    "euclidean": {"n": 8, "dim": 2, "sep": 4.0, "seed": None},
-    "tightness": {"pairs": 2},
-    "matching-eps": {"pairs": 2, "eps": 1e-3},
-    "stable-not-distinguished": {"pairs": 2, "eps": 1e-3},
+# per family, its generator and the gen flags it reads, in the generator's
+# argument order, with their defaults; None marks a flag it needs
+_GEN_FAMILIES = {
+    "planted-partition": (gen_planted_partition, {"n": 8, "p": 0.9, "q": 0.1, "seed": None}),
+    "bipartite-noise": (gen_stable_bipartite_noise, {"n": 8, "gamma": 4.0, "seed": None}),
+    "euclidean": (gen_euclidean_metric, {"n": 8, "dim": 2, "sep": 4.0, "seed": None}),
+    "tightness": (gen_tightness_example, {"pairs": 2}),
+    "matching-eps": (gen_matching_epsilon, {"pairs": 2, "eps": 1e-3}),
+    "stable-not-distinguished": (gen_infinite_stable_not_distinguished, {"pairs": 2, "eps": 1e-3}),
 }
 
 
 # every gen flag with its type; each is None unless given
-_GEN_FLAG_TYPES = {"n": int, "p": float, "q": float, "gamma": str, "dim": int, "sep": float,
+_GEN_FLAG_TYPES = {"n": int, "p": float, "q": float, "gamma": float, "dim": int, "sep": float,
                    "pairs": int, "eps": float, "seed": int}
 
 
 def _gen_options(args) -> dict:
     """The flags the family reads, defaults filled in.  A flag given that it
     does not read, or a needed flag left out, is a ParameterError."""
-    reads = _GEN_FLAGS[args.family]
+    reads = _GEN_FAMILIES[args.family][1]
     for flag in _GEN_FLAG_TYPES:
         if getattr(args, flag) is not None and flag not in reads:
             raise ParameterError(f"gen {args.family} does not read --{flag}")
@@ -126,25 +124,22 @@ def _gen_options(args) -> dict:
 
 def _cmd_gen(args) -> int:
     fam, o = args.family, _gen_options(args)
-    if fam == "planted-partition":
-        planted = gen_planted_partition(o["n"], o["p"], o["q"], o["seed"])
-    elif fam == "bipartite-noise":
-        planted = gen_stable_bipartite_noise(o["n"], float(o["gamma"]), o["seed"])
-    elif fam == "euclidean":
-        planted = gen_euclidean_metric(o["n"], o["dim"], o["sep"], o["seed"])
-    elif fam == "tightness":
-        planted = gen_tightness_example(o["pairs"])
-    elif fam == "matching-eps":
-        if args.sidecar:
-            raise ParameterError("matching-eps has no planted cut to write to --sidecar")
-        inst = gen_matching_epsilon(o["pairs"], o["eps"])
-        planted = None
-    elif fam == "stable-not-distinguished":
-        planted = gen_infinite_stable_not_distinguished(o["pairs"], o["eps"])
-    if planted is not None:
+    # a tightness pair spans 4 vertices, a pair of the other pair families 2
+    n = o["n"] if "n" in o else o["pairs"] * (4 if fam == "tightness" else 2)
+    if n > LOAD_MAX_N:
+        raise SizeLimitError(f"instance files are capped at n <= {LOAD_MAX_N}, got {n}")
+    if args.sidecar and fam == "matching-eps":
+        raise ParameterError("matching-eps has no planted cut to write to --sidecar")
+    sidecar_path = args.sidecar or args.output + ".planted.json"
+    if os.path.realpath(sidecar_path) == os.path.realpath(args.output):
+        raise ParameterError("--sidecar and -o name the same file")
+    generator, _ = _GEN_FAMILIES[fam]
+    planted = generator(*o.values())
+    if isinstance(planted, Instance):  # matching-eps plants no cut
+        inst, planted = planted, None
+    else:
         inst = planted.instance
     save_instance(inst, args.output)
-    sidecar_path = args.sidecar or args.output + ".planted.json"
     summary = {"family": fam, "n": inst.n, "output": args.output}
     if planted is not None:
         with open(sidecar_path, "w") as fh:
@@ -190,15 +185,14 @@ def _cmd_solve(args) -> int:
     elif args.algo == "ball":
         cut = ball_enumeration_solve(inst)
     elif args.algo == "sqrt-stable":
-        cut = sqrt_stable_solve(inst, "auto" if args.auto or args.gamma is None
-                                else float(args.gamma))
+        cut = sqrt_stable_solve(inst, "auto" if args.auto or args.gamma is None else args.gamma)
     elif args.algo == "warmup-2n":
         cut = warmup_2n_solve(inst)
     elif args.algo == "spanning-tree":
         reps = args.reps
         if reps is None:
             # with a known stability level, ceil(3 / bound) repetitions
-            reps = (default_tree_repetitions(float(args.gamma), inst.n)
+            reps = (default_tree_repetitions(args.gamma, inst.n)
                     if args.gamma is not None else 32)
         verdicts["repetitions"] = reps
         cut = spanning_tree_solve(inst, seed=args.seed, repetitions=reps)
@@ -239,26 +233,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
-    if args.cut:
-        cut = load_cut(args.cut)
-        check_cut(inst, cut)  # a wrong-size cut fails here, before the scan
-        # the subset scan's tau table holds every cut weight, so it tallies the optima too
-        gamma, alpha, cheeger, count = subset_scan_with_ties(inst.weights, cut.delta)
-    else:
-        cut, _, count = brute_force_maxcut(inst)
-        gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
-        if count > 1:
-            gamma = 1.0  # the clamp of instance_stability: a tied optimum is only 1-stable
-    weight = cut_weight(inst, cut)
-    _emit({
-        "gamma": gamma,
-        "gamma_local": local_stability_gamma(inst, cut),
-        "alpha": alpha,
-        "cheeger": cheeger,
-        "is_unique_maxcut": count == 1,
-        "cut": cut_to_json(cut),
-        "cut_weight": weight,
-    }, sys.stdout)
+    report = cut_stability(inst, load_cut(args.cut)) if args.cut else instance_stability(inst)
+    _emit({**vars(report), "cut": cut_to_json(report.cut)}, sys.stdout)
     return 0
 
 
@@ -374,8 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance family member")
-    p.add_argument("family", choices=list(_GEN_FLAGS))
-    # defaults per family in _GEN_FLAGS; a family refuses the flags it does not read
+    p.add_argument("family", choices=list(_GEN_FAMILIES))
+    # defaults per family in _GEN_FAMILIES; a family refuses the flags it does not read
     for flag, kind in _GEN_FLAG_TYPES.items():
         p.add_argument(f"--{flag}", type=kind)
     p.add_argument("-o", "--output", required=True)
@@ -394,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="enumerate",
                    help="dense modes: enumerate | seeded (needs --seed-cut) | random:K")
     p.add_argument("--seed-cut", help="cut file supplying true sides; only with --mode seeded")
-    p.add_argument("--gamma")
+    p.add_argument("--gamma", type=float)
     p.add_argument("--auto", action="store_true")
     p.add_argument("--reps", type=int, default=None,
                    help="spanning-tree repetitions; defaults to ceil(3/bound) when --gamma is given, else 32")

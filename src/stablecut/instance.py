@@ -377,9 +377,17 @@ def save_instance(inst: Instance, path) -> None:
         fh.write(json.dumps(instance_to_json(inst)) + "\n")
 
 
-def load_instance(path) -> Instance:
+def _load_json(path, error: type[Exception]):
+    """The document in ``path``; one nested too deeply for the parser raises ``error``."""
     with open(path) as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{path} is nested too deeply to parse") from None
+
+
+def load_instance(path) -> Instance:
+    return instance_from_json(_load_json(path, InvalidInstanceError))
 
 
 def cut_to_json(cut: Cut) -> dict:
@@ -400,5 +408,4 @@ def save_cut(cut: Cut, path) -> None:
 
 
 def load_cut(path) -> Cut:
-    with open(path) as fh:
-        return cut_from_json(json.load(fh))
+    return cut_from_json(_load_json(path, InvalidCutError))

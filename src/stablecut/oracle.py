@@ -30,8 +30,8 @@ one tally, ``_Optima``, fed a table of cut weights per chunk: it keeps the
 running maximum and, per distinct weight within REL_TOL of it, the first mask
 and a count, and it skips a chunk whose maximum lies below that band.  The
 max-cut scan feeds it the cut form; the subset scan, whose tau(A) table is
-the same cut form, can feed it too, so ``subset_scan_with_ties`` gives the
-minima and the tie count of ``brute_force_maxcut`` from one pass.
+the same cut form, can feed it too, so ``cut_stability`` gives the minima
+and the tie count of ``brute_force_maxcut`` from one pass.
 
 The enumeration of locally stable cuts tests no mask one by one.  A stable
 vertex x has xi(x) >= theta_x, a bound from gamma, mu_x and the tolerances,
@@ -294,14 +294,6 @@ def subset_scan_minima(W: np.ndarray, delta: np.ndarray | None = None) -> tuple[
     return _minima(W, delta, None)
 
 
-def subset_scan_with_ties(W: np.ndarray, delta: np.ndarray) -> tuple[float, float, float, int]:
-    """``subset_scan_minima(W, delta)`` and the number of distinct maximum cuts
-    (``brute_force_maxcut``'s third value), from one scan."""
-    optima = _Optima()
-    gamma, alpha, cheeger = _minima(W, delta, optima)
-    return gamma, alpha, cheeger, optima.result()[1]
-
-
 def per_vertex_cut_weights(W: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(xi(x), iota(x)) for every vertex: weight to the other / own side.
 
@@ -451,11 +443,10 @@ def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Exact stability profile of an instance (all values from brute force).
+    """Exact stability profile of an instance at one cut (all values from brute force).
 
-    gamma and gamma_local may be +inf (bipartite support).  When the maximum
-    cut is not unique, gamma is clamped to 1: being gamma-stable for any
-    gamma > 1 is equivalent to having a unique maximum cut.
+    gamma and gamma_local may be +inf (bipartite support).  is_unique_maxcut
+    says whether the instance has one maximum cut, whatever cut is reported.
     """
 
     gamma: float
@@ -463,17 +454,31 @@ class StabilityReport:
     alpha: float
     cheeger: float
     is_unique_maxcut: bool
+    cut: Cut
+    cut_weight: float
 
 
 def instance_stability(inst: Instance) -> StabilityReport:
-    """Full report at the brute-force optimal cut."""
-    cut, _, count = brute_force_maxcut(inst)
+    """Full report at the brute-force optimal cut.
+
+    When the maximum cut is not unique, gamma is clamped to 1: being
+    gamma-stable for any gamma > 1 is equivalent to having a unique maximum cut.
+    """
+    cut, weight, count = brute_force_maxcut(inst)
     gamma, alpha, cheeger = subset_scan_minima(inst.weights, cut.delta)
-    unique = count == 1
-    return StabilityReport(
-        gamma=gamma if unique else 1.0,
-        gamma_local=local_stability_gamma(inst, cut),
-        alpha=alpha,
-        cheeger=cheeger,
-        is_unique_maxcut=unique,
-    )
+    return StabilityReport(gamma if count == 1 else 1.0, local_stability_gamma(inst, cut),
+                           alpha, cheeger, count == 1, cut, weight)
+
+
+def cut_stability(inst: Instance, cut: Cut) -> StabilityReport:
+    """Full report at a given cut, gamma as scanned (not clamped).
+
+    A cut that does not fit the instance raises InvalidCutError before any
+    scan.  One subset scan gives gamma, alpha and cheeger, and its tau table,
+    the weight of every cut, also counts the maximum cuts.
+    """
+    check_cut(inst, cut)
+    optima = _Optima()
+    gamma, alpha, cheeger = _minima(inst.weights, cut.delta, optima)
+    return StabilityReport(gamma, local_stability_gamma(inst, cut), alpha, cheeger,
+                           optima.result()[1] == 1, cut, cut_weight(inst, cut))

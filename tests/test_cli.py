@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stablecut as sc
-from stablecut import acceptance, cli, stable
+from stablecut import acceptance, cli, oracle, stable
 from stablecut.cli import main
 from stablecut.errors import PreconditionError
 from stablecut.instance import LOAD_MAX_N
@@ -101,6 +101,47 @@ def test_gen_needs_a_seed_only_for_the_seeded_families(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
     for family in ("tightness", "matching-eps", "stable-not-distinguished"):
         assert run(capsys, "gen", family, "-o", str(tmp_path / f"{family}.json"))[0] == 0
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["planted-partition", "--n", str(LOAD_MAX_N + 4), "--p", "0.01", "--q", "0", "--seed", "1"],
+     LOAD_MAX_N + 4),
+    (["tightness", "--pairs", str(LOAD_MAX_N // 4 + 1)], LOAD_MAX_N + 4),
+    (["stable-not-distinguished", "--pairs", str(LOAD_MAX_N // 2 + 1)], LOAD_MAX_N + 2),
+])
+def test_gen_above_the_load_cap_exits_2_without_writing(tmp_path, capsys, monkeypatch, argv, n):
+    # every command refuses a file above LOAD_MAX_N, so gen does not write one;
+    # the generator never runs
+    for family, (_, reads) in cli._GEN_FAMILIES.items():
+        monkeypatch.setitem(cli._GEN_FAMILIES, family, (None, reads))
+    code = main(["gen", *argv, "-o", str(tmp_path / "big.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"instance files are capped at n <= {LOAD_MAX_N}, got {n}",
+                               "kind": "SizeLimitError"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_refuses_a_sidecar_that_is_the_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for out_path, side_path in (("same.json", "same.json"), ("same.json", "./sub/../same.json")):
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        code = main(["gen", "tightness", "-o", out_path, "--sidecar", side_path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "--sidecar and -o name the same file",
+                                   "kind": "ParameterError"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+def test_gen_gamma_that_does_not_parse_exits_2(tmp_path, capsys):
+    for argv in (["gen", "bipartite-noise", "--gamma", "six", "--seed", "1", "-o",
+                  str(tmp_path / "b.json")],
+                 ["solve", write_c4(tmp_path), "--algo", "sqrt-stable", "--gamma", "six"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_gen_infinite_gamma_serializes_as_string(tmp_path, capsys):
@@ -243,13 +284,33 @@ def test_verify_rejects_a_wrong_size_cut_before_the_scan(tmp_path, capsys, monke
     def no_scan(*args):
         raise AssertionError("a scan ran on a cut of the wrong size")
 
-    for scan in ("brute_force_maxcut", "subset_scan_minima", "subset_scan_with_ties"):
-        monkeypatch.setattr(cli, scan, no_scan)
+    # the oracle's own names, which its report functions call
+    for scan in ("brute_force_maxcut", "subset_scan_minima", "_minima"):
+        monkeypatch.setattr(oracle, scan, no_scan)
     short = tmp_path / "short.json"
     short.write_text('{"side": [1, 0, 1]}')
     code = main(["verify", write_c4(tmp_path), "--cut", str(short)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "cut has 3 vertices, instance has 4"
+
+
+def test_deeply_nested_files_exit_2(tmp_path, capsys):
+    # the JSON parser recurses once per level; a file past its depth is
+    # malformed input (exit 2), not a declined solve (exit 1)
+    depth = 200_000
+    deep_inst, deep_cut = tmp_path / "deep.json", tmp_path / "deep.cut.json"
+    deep_inst.write_text('{"n": 2, "weights": ' + "[" * depth + "]" * depth + "}")
+    deep_cut.write_text('{"side": ' + "[" * depth + "]" * depth + "}")
+    c4 = write_c4(tmp_path)
+    for argv, kind in ((["verify", str(deep_inst)], "InvalidInstanceError"),
+                       (["verify", c4, "--cut", str(deep_cut)], "InvalidCutError"),
+                       (["certify", c4, str(deep_cut), "--spectral"], "InvalidCutError"),
+                       (["solve", c4, "--algo", "dense", "--m", "2", "--mode", "seeded",
+                         "--seed-cut", str(deep_cut)], "InvalidCutError")):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == kind
 
 
 def test_malformed_instance_exits_2(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """No module of the package uses another module's private (_-prefixed) names,
 settings that no caller varies stay constants rather than parameters, and
-every exported name has a caller outside the tests and demos."""
+every public function and class has a caller outside the tests and demos."""
 
 import ast
 import importlib
@@ -80,12 +80,20 @@ def test_no_module_imports_a_name_it_never_reads():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def _public_functions():
+def _public_definitions():
+    """(module stem, name, object) of every public function and class a package module defines."""
     for path in sorted(PACKAGE.glob("[!_]*.py")):  # __main__ would run the CLI
         module = importlib.import_module(f"stablecut.{path.stem}")
-        for name, fn in vars(module).items():
-            if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__:
-                yield f"{path.stem}.{name}", fn
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                yield path.stem, name, obj
+
+
+def _public_functions():
+    for stem, name, obj in _public_definitions():
+        if inspect.isfunction(obj):
+            yield f"{stem}.{name}", obj
 
 
 def test_no_public_function_takes_a_size_cap():
@@ -124,12 +132,6 @@ def test_acceptance_criteria_take_only_a_seed():
             criterion.__name__
 
 
-# exported names that may stay without a caller, each with its reason
-UNCALLED_EXPORTS = {
-    "instance_stability": "the entry point of the README quick start",
-}
-
-
 def references(source: str) -> list[tuple[str | None, str]]:
     """(top-level definition or None, name) for every Name and Attribute node."""
     found = []
@@ -143,12 +145,11 @@ def references(source: str) -> list[tuple[str | None, str]]:
     return found
 
 
-def uncalled(exports: dict[str, str], sources: dict[str, str], roots=()) -> list[str]:
+def uncalled(exports: dict[str, str], sources: dict[str, str]) -> list[str]:
     """Exported names (name -> defining file) that no code in ``sources`` (file -> text) reaches.
 
     A reference counts unless it sits in the name's own definition, or in the
-    definition of another exported name that nothing reaches either; the
-    definitions of ``roots`` count as reached.
+    definition of another exported name that nothing reaches either.
     """
     refs = {(path, owner, name) for path, text in sources.items()
             for owner, name in references(text) if name in exports}
@@ -156,7 +157,7 @@ def uncalled(exports: dict[str, str], sources: dict[str, str], roots=()) -> list
     while True:
         more = {name for path, owner, name in refs if name not in called
                 and (path, owner) != (exports[name], name)
-                and (owner is None or exports.get(owner) != path or owner in called or owner in roots)}
+                and (owner is None or exports.get(owner) != path or owner in called)}
         if not more:
             return sorted(set(exports) - called)
         called |= more
@@ -164,26 +165,23 @@ def uncalled(exports: dict[str, str], sources: dict[str, str], roots=()) -> list
 
 def test_checker_follows_callers_from_live_code():
     exports = {"used": "a.py", "helper": "a.py", "dead": "a.py", "dead_type": "a.py",
-               "recursive": "a.py", "entry": "a.py", "entry_type": "a.py"}
+               "recursive": "a.py"}
     sources = {
         "a.py": ("def used():\n    return helper()\n"
                  "def helper():\n    pass\n"
                  "class dead_type:\n    pass\n"
                  "def dead():\n    # used() in a comment is no call\n    return dead_type()\n"
-                 "def recursive(k):\n    return recursive(k - 1)\n"
-                 "class entry_type:\n    pass\n"
-                 "def entry():\n    return entry_type()\n"),
+                 "def recursive(k):\n    return recursive(k - 1)\n"),
         "b.py": "import a\na.used()\n",
     }
-    assert uncalled(exports, sources) == ["dead", "dead_type", "entry", "entry_type", "recursive"]
-    # a root reaches what it uses, and is itself reported while nothing calls it
-    assert uncalled(exports, sources, roots={"entry"}) == ["dead", "dead_type", "entry", "recursive"]
+    assert uncalled(exports, sources) == ["dead", "dead_type", "recursive"]
 
 
 def test_every_export_has_a_caller():
-    exports = {name: str(Path(inspect.getsourcefile(obj)).resolve()) for name in stablecut.__all__
-               if not inspect.ismodule(obj := getattr(stablecut, name))}
+    definitions = list(_public_definitions())
+    exports = {name: str((PACKAGE / f"{stem}.py").resolve()) for stem, name, _ in definitions}
+    assert len(exports) == len(definitions)  # no public name is defined twice
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     sources = {str(p.resolve()): p.read_text() for p in files}
-    assert uncalled(exports, sources, roots=UNCALLED_EXPORTS) == sorted(UNCALLED_EXPORTS)
+    assert uncalled(exports, sources) == []

@@ -9,8 +9,7 @@ import stablecut as sc
 from stablecut import oracle
 from stablecut.errors import ParameterError, SizeLimitError
 from stablecut.instance import REL_TOL, ZERO_FRACTION, cut_weights_for_sides
-from stablecut.oracle import (cut_sides, per_vertex_cut_weights, subset_scan_minima,
-                              subset_scan_with_ties)
+from stablecut.oracle import cut_sides, cut_stability, per_vertex_cut_weights, subset_scan_minima
 
 from conftest import random_cut, random_instance, subset_stats
 
@@ -401,13 +400,22 @@ def test_maxcut_tally_across_chunks_matches_chunked_kernel(n):
     for inst in pool:
         opt = sc.brute_force_maxcut(inst)
         assert opt == _chunked_maxcut(inst)
-        delta = random_cut(rng, inst.n).delta
-        assert subset_scan_with_ties(inst.weights, delta) == (
-            *subset_scan_minima(inst.weights, delta), opt[2])
+        assert_fused_scan_matches(inst, random_cut(rng, inst.n), opt[2])
     ties = [sc.brute_force_maxcut(inst)[2] for inst in pool]
     assert ties == [math.comb(n, n // 2) // (2 if n % 2 == 0 else 1), 2 ** (n // 2 - 1), 1]
     side = sc.brute_force_maxcut(pool[2])[0].side
     assert int("".join(str(int(b)) for b in side[1:]), 2) >> 14 == (1 << (n - 15)) - 1
+
+
+def assert_fused_scan_matches(inst, cut, count):
+    """cut_stability's one subset scan gives subset_scan_minima's values bit for
+    bit, and its tally counts the maximum cuts as brute_force_maxcut does."""
+    rep = cut_stability(inst, cut)
+    assert (rep.gamma, rep.alpha, rep.cheeger) == subset_scan_minima(inst.weights, cut.delta)
+    assert rep.is_unique_maxcut == (count == 1)
+    optima = oracle._Optima()
+    oracle._minima(inst.weights, cut.delta, optima)
+    assert optima.result()[1] == count
 
 
 def test_fused_scan_matches_separate_scans_on_tied_pools():
@@ -419,9 +427,8 @@ def test_fused_scan_matches_separate_scans_on_tied_pools():
     pool += [sc.gen_matching_epsilon(pairs, float(rng.uniform(1e-3, 0.3))) for pairs in (1, 4, 8)]
     for inst in pool:
         _, _, count = sc.brute_force_maxcut(inst)
-        for delta in (random_cut(rng, inst.n).delta, random_cut(rng, inst.n).delta):
-            assert subset_scan_with_ties(inst.weights, delta) == (
-                *subset_scan_minima(inst.weights, delta), count)
+        for cut in (random_cut(rng, inst.n), random_cut(rng, inst.n)):
+            assert_fused_scan_matches(inst, cut, count)
 
 
 def test_subset_scan_guard_for_a_near_isolated_vertex():
@@ -539,4 +546,6 @@ def test_instance_stability_matches_separate_scans():
         assert rep.is_unique_maxcut == (count == 1)
         assert rep.gamma == (gamma if count == 1 else 1.0)
         assert (rep.alpha, rep.cheeger) == (alpha, cheeger)
+        assert rep.gamma_local == sc.local_stability_gamma(inst, cut)
+        assert rep.cut == cut and rep.cut_weight == sc.cut_weight(inst, cut)
         assert sc.cheeger_constant(inst) == cheeger
