@@ -1,6 +1,6 @@
 """Time the exhaustive scan kernels of the checkout this script sits in.
 
-    python3 scripts/oracle_layers.py [--sizes 12 18 22 24] [--repeat 5]
+    python3 scripts/oracle_layers.py [--sizes 8 12 18 22 24 26] [--repeat 5]
 
 For every n of ``--sizes`` it builds ``gen_planted_partition(n, 0.6, 0.4, 1)``
 and times, best of ``--repeat`` calls after one warm-up call:
@@ -76,7 +76,7 @@ def layer_row(n: int, repeat: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[12, 18, 22, 24])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 18, 22, 24, 26])
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
     doc = {"repeat": args.repeat, "numpy": np.__version__,

@@ -133,6 +133,11 @@ def _cmd_gen(args) -> int:
     sidecar_path = args.sidecar or args.output + ".planted.json"
     if os.path.realpath(sidecar_path) == os.path.realpath(args.output):
         raise ParameterError("--sidecar and -o name the same file")
+    # the sidecar is written after the output, so a --sidecar that open() would
+    # refuse is refused here, before either file is written
+    if args.sidecar and (os.path.isdir(args.sidecar)
+                         or not os.path.isdir(os.path.dirname(args.sidecar) or ".")):
+        raise ParameterError(f"--sidecar {args.sidecar} is not a file in an existing directory")
     generator, _ = _GEN_FAMILIES[fam]
     planted = generator(*o.values())
     if isinstance(planted, Instance):  # matching-eps plants no cut

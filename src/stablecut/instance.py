@@ -118,6 +118,27 @@ class Cut:
         s.flags.writeable = False
         object.__setattr__(self, "side", s)
 
+    @classmethod
+    def adopt_rows(cls, sides: np.ndarray) -> list["Cut"]:
+        """One cut per row of a (k, n) boolean array that no caller holds.
+
+        The array is kept read-only and uncopied, and each cut's side is a
+        view of its row, so a scan hands out k cuts without k copies.  The
+        cuts equal, and hash like, ``Cut(row)``.  Every row must have both
+        sides nonempty; one check covers the whole array.
+        """
+        if sides.dtype != bool or sides.ndim != 2:
+            raise InvalidCutError("sides must be a (k, n) boolean array")
+        if not (sides != sides[:, :1]).any(axis=1).all():
+            raise InvalidCutError("both sides of a cut must be nonempty")
+        sides.flags.writeable = False
+        cuts = []
+        for side in sides:
+            cut = object.__new__(cls)
+            object.__setattr__(cut, "side", side)
+            cuts.append(cut)
+        return cuts
+
     def __setattr__(self, name, value):
         raise AttributeError("Cut is immutable")
 

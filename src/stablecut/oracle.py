@@ -41,9 +41,13 @@ of L[x, :] in sorted order or its complement: the keys below one bound, found
 by one ``searchsorted``.  A per-vertex table of packed prefix bitsets holds
 one row per distinct prefix length and one spare, so it has at most one row
 more than the sets it hands out.  The low block gives sets of a for each b
-in the same way.  The AND of the row sets and of the column sets, combined
-chunk by chunk, leaves a few candidate masks, and the exact per-vertex test
-then decides each of them.
+in the same way.  The row sets are nearly all empty, so candidates are read
+only from the high patterns whose row set is nonempty, a group of at most
+``rows`` patterns (a chunk's worth) at a time, in mask order.  Bit a of the
+column set of b keeps or drops each candidate (a, b), and the exact
+per-vertex test then decides the few that remain.  The kept sides of a group
+become one read-only block, and ``Cut.adopt_rows`` hands out its rows as
+cuts without copying or re-checking each one.
 """
 
 from __future__ import annotations
@@ -365,8 +369,7 @@ def _threshold_sets(key: np.ndarray, bound: np.ndarray, in_s: np.ndarray) -> np.
     np.bitwise_or.at(table.view(np.uint8), (rank[1:-1], order >> 3), _BYTE_BIT[order & 7])
     np.bitwise_or.accumulate(table, axis=0, out=table)
     sets = table[rank[k]]
-    flip = np.where(in_s, np.uint64(0), ~np.uint64(0))
-    return np.bitwise_xor(sets, flip[:, None], out=sets)
+    return np.invert(sets, out=sets, where=~in_s[:, None])
 
 
 def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
@@ -410,34 +413,41 @@ def enumerate_locally_stable_cuts(inst: Instance, gamma: float) -> list[Cut]:
         own = own[xs]
         return np.where(in_s, np.nextafter(slack[xs, None] - own, INF), theta[xs, None] - own)
 
+    def admissible(keys: np.ndarray, bound: np.ndarray, in_s: np.ndarray) -> np.ndarray:
+        # the AND of the threshold sets of a block's vertices (a block has at least one)
+        sets = _threshold_sets(keys[0], bound[0], in_s[0])
+        for j in range(1, keys.shape[0]):
+            sets &= _threshold_sets(keys[j], bound[j], in_s[j])
+        return sets
+
     in_s = np.ones((1 + h, 1 << h), dtype=bool)
     in_s[1:] = scan.bits_hi.T
-    bound = bounds(slice(0, 1 + h), H, in_s)
-    rows = np.full((1 << h, -(-(1 << l) // 64)), ~np.uint64(0))
-    for x in range(1 + h):
-        rows &= _threshold_sets(L[x], bound[x], in_s[x])
+    rows = admissible(L[:1 + h], bounds(slice(0, 1 + h), H, in_s), in_s)
     in_s = scan.bits_lo.T > 0
-    bound = bounds(scan.lo, L, in_s)
-    cols = np.full((1 << l, -(-(1 << h) // 64)), ~np.uint64(0))
-    for j, x in enumerate(range(1 + h, inst.n)):
-        cols &= _threshold_sets(H[x], bound[j], in_s[j])
+    cols = admissible(H[scan.lo], bounds(scan.lo, L, in_s), in_s)
 
-    # a chunk holds at least 8 high patterns, or all of them, so its columns
-    # start on a byte of cols.  The exact test then decides each candidate.
+    # The all-ones mask (S = V) is no cut: clear its bit.  Only the high
+    # patterns with a nonempty row set are read, scan.rows at a time, in
+    # increasing order, so the masks come out in increasing order.  Bit a of
+    # cols[b] then decides each candidate (a, b) with one byte gather, and
+    # the exact test decides each survivor.
+    last = (1 << l) - 1
+    rows.view(np.uint8)[-1, last >> 3] &= ~_BYTE_BIT[last & 7]
     col_bytes = cols.view(np.uint8)
+    live = rows.any(axis=1).nonzero()[0]
     found = []
-    for first, hi, size in scan.chunks():
-        block = np.unpackbits(rows[hi].view(np.uint8), axis=1, count=1 << l)
-        r = block.shape[0]
-        block &= np.unpackbits(col_bytes[:, hi.start >> 3:(hi.start + r + 7) >> 3],
-                               axis=1, count=r).T
-        masks = first + np.flatnonzero(block.reshape(-1)[:size])
-        a, b = scan.patterns(masks)
-        sides = scan.sides(masks)
+    for start in range(0, live.size, scan.rows):
+        group = live[start:start + scan.rows]
+        bits = np.unpackbits(rows[group].view(np.uint8), axis=1, count=1 << l)
+        at = bits.reshape(-1).nonzero()[0]
+        a, b = group[at >> l], at & last
+        both = (col_bytes[b, a >> 3] & _BYTE_BIT[a & 7]) != 0
+        a, b = a[both], b[both]
+        sides = scan.sides((a << l) | b)
         to_s = H[:, a] + L[:, b]
         xi = np.where(sides, mu[:, None] - to_s, to_s)
         keep = stable(xi, mu[:, None] - xi).all(axis=0)
-        found.extend(Cut(side) for side in sides[:, keep].T)
+        found += Cut.adopt_rows(sides.T[keep])
     return found
 
 

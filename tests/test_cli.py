@@ -134,6 +134,20 @@ def test_gen_refuses_a_sidecar_that_is_the_output(tmp_path, capsys, monkeypatch)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
+def test_gen_refuses_a_sidecar_it_cannot_open_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for side_path in ("nodir/s.json", "sub", str(tmp_path / "nodir" / "s.json")):
+        code = main(["gen", "tightness", "-o", "o.json", "--sidecar", side_path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": f"--sidecar {side_path} is not a file in an existing directory",
+            "kind": "ParameterError"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+
 def test_gen_gamma_that_does_not_parse_exits_2(tmp_path, capsys):
     for argv in (["gen", "bipartite-noise", "--gamma", "six", "--seed", "1", "-o",
                   str(tmp_path / "b.json")],

@@ -58,6 +58,22 @@ def test_cut_validation():
     assert not sc.same_bipartition(cut, sc.Cut([True, True, False]))
 
 
+def test_adopted_rows_are_read_only_cuts_that_equal_copied_ones():
+    block = np.array([[True, False, True], [True, True, False]])
+    cuts = sc.Cut.adopt_rows(block)
+    assert not block.flags.writeable
+    assert cuts == [sc.Cut(row.copy()) for row in block]
+    assert [hash(c) for c in cuts] == [hash(sc.Cut(row.copy())) for row in block]
+    assert all(np.shares_memory(c.side, block) for c in cuts)
+    with pytest.raises(ValueError):
+        cuts[0].side[1] = True
+    assert sc.Cut.adopt_rows(np.zeros((0, 3), dtype=bool)) == []
+    for bad in (np.array([[True, False], [True, True]]), np.array([[False, False]]),
+                np.array([[1, 0]]), np.array([True, False])):
+        with pytest.raises(InvalidCutError):
+            sc.Cut.adopt_rows(bad)
+
+
 # every (instance, cut) entry point that checks the cut's size before its own work
 _CUT_TAKERS = {
     "cut_stability_gamma": sc.cut_stability_gamma,

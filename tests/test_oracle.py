@@ -466,6 +466,84 @@ def test_scans_with_odd_and_even_splits_match_chunked_kernel(n):
             assert sc.enumerate_locally_stable_cuts(inst, level) == _chunked_enumeration(inst, level)
 
 
+
+# ---------------------------------------------------------------------------
+# the enumeration reads only the high patterns with a nonempty row set
+# ---------------------------------------------------------------------------
+
+
+def _complete(n):
+    return sc.Instance(np.ones((n, n)) - np.eye(n))
+
+
+def _random20():
+    return random_instance(np.random.default_rng(2020), 20)
+
+
+# (instance, gamma, whether the live patterns fill more than one group of scan.rows)
+LIVE_CASES = {
+    "K12": (lambda: _complete(12), 1.0, False),  # 32 high patterns, one group of 256
+    "K16": (lambda: _complete(16), 1.0, True),
+    "K18": (lambda: _complete(18), 1.0, True),
+    "matching8": (lambda: sc.gen_matching_epsilon(8, 0.1), 1.1, False),
+    "matching9": (lambda: sc.gen_matching_epsilon(9, 0.1), 1.1, False),
+    "random20": (_random20, 1.0, True),
+    "random20-1.1": (_random20, 1.1, True),  # 3 cuts, but live patterns in 5 groups
+}
+
+
+def _count_groups(monkeypatch):
+    """Count the calls of Cut.adopt_rows, one per group of live patterns read."""
+    calls = []
+    adopt = sc.Cut.adopt_rows.__func__
+
+    def spy(cls, sides):
+        calls.append(sides.shape[0])
+        return adopt(cls, sides)
+
+    monkeypatch.setattr(sc.Cut, "adopt_rows", classmethod(spy))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(LIVE_CASES))
+def test_enumeration_of_live_patterns_matches_chunked_kernel(case, monkeypatch):
+    make, gamma, several = LIVE_CASES[case]
+    inst = make()
+    groups = _count_groups(monkeypatch)
+    cuts = sc.enumerate_locally_stable_cuts(inst, gamma)
+    assert cuts == _chunked_enumeration(inst, gamma)
+    # every high pattern of a found cut is live, and a group holds scan.rows of them
+    h, rows = (inst.n - 1) // 2, oracle._Scan(inst.n).rows
+    patterns = {cut.side[1:1 + h].tobytes() for cut in cuts}
+    assert cuts and len(groups) >= -(-len(patterns) // rows)
+    assert (len(groups) > 1) == several
+    assert sum(groups) == len(cuts)
+
+
+def test_enumeration_without_live_patterns_reads_no_group(monkeypatch):
+    inst = _random20()
+    groups = _count_groups(monkeypatch)
+    for gamma in (10.0, 1e3):
+        assert sc.enumerate_locally_stable_cuts(inst, gamma) == []
+        assert _chunked_enumeration(inst, gamma) == []
+    assert groups == []
+
+
+def test_enumerated_cuts_are_read_only_and_owned_by_their_call():
+    for inst, gamma in ((_complete(12), 1.0), (sc.gen_matching_epsilon(9, 0.1), 1.1)):
+        first = sc.enumerate_locally_stable_cuts(inst, gamma)
+        second = sc.enumerate_locally_stable_cuts(inst, gamma)
+        assert first == second and len(first) > 1
+        copies = [sc.Cut(cut.side.copy()) for cut in first]
+        assert first == copies
+        assert [hash(cut) for cut in first] == [hash(cut) for cut in copies]
+        for cut in first:
+            assert not cut.side.flags.writeable
+            with pytest.raises(ValueError):
+                cut.side[-1] = not cut.side[-1]
+        assert not any(np.shares_memory(a.side, b.side) for a in first for b in second)
+
+
 def _table_threshold_sets(key, upper, lower, in_s):
     """Reference threshold sets: the i with key[i] <= upper[j] where in_s[j], else
     key[i] >= lower[j], read off a full prefix table of key.size + 1 rows."""
